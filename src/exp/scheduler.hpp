@@ -7,8 +7,12 @@
 //
 //   * several proto::TransferSessions co-exist on ONE sim::Simulation; every
 //     master tick the scheduler collects each session's link demands and runs
-//     a single joint net::fair_share round (net::LinkArbiter), so channels of
-//     different tenants contend exactly like channels of one session;
+//     one joint net::fair_share round (net::LinkArbiter) per path over the
+//     tenants placed there, so channels of different tenants contend exactly
+//     like channels of one session;
+//   * one path table drives every schedule: an entry per
+//     SchedulerPolicy::paths option, or a single entry — the testbed's own
+//     environment under the site cap — when there are no alternates;
 //   * admission control: the waiting queue is bounded; jobs past the bound
 //     are shed (rejected) with honest accounting, never silently dropped;
 //   * a site-wide power cap: a job is dispatched only when the sum of the
@@ -31,7 +35,12 @@
 // report is bit-reproducible for a fixed (testbed, jobs, policy, faults).
 // With a single tenant and no site events the tick pipeline degenerates to
 // exactly the single-session engine (same operations, same order), which is
-// what keeps the existing goldens byte-identical.
+// what keeps the existing goldens byte-identical. A schedule without
+// alternates is the one-entry case of the path table, so naming the
+// testbed's own route as a one-option PathSet changes nothing in the report
+// or the decision log; only the per-path health series (the
+// `scheduler.path.<name>.phi` gauge, the `path.<name>.phi` trace track and
+// telemetry `site_phi`) exist solely with alternates.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +59,7 @@
 #include "testbeds/testbeds.hpp"
 
 namespace eadt::obs {
+class Gauge;
 class ObsCollector;
 class StreamingTraceWriter;
 class TelemetryHub;
@@ -102,13 +112,15 @@ struct SchedulerPolicy {
   Seconds horizon = 7.0 * 24 * 3600;
 
   // --- Path resilience (appended so positional initializers of the fields
-  // above keep compiling). An empty `paths` disables placement entirely: the
-  // scheduler is then bit-identical to its single-path self.
-  /// Alternate site routes (index 0 = primary). With paths, each tenant is
-  /// placed at dispatch on the healthiest path with power headroom, each path
-  /// runs its own joint fair-share round per master tick, and a tenant whose
-  /// journal was taken on a now-suspect path resumes on a better one
-  /// (counted as a migration, not a retry).
+  // above keep compiling).
+  /// Alternate site routes (index 0 = primary). Each tenant is placed at
+  /// dispatch on the healthiest path with power headroom, each path runs its
+  /// own joint fair-share round per master tick, and a tenant whose journal
+  /// was taken on a now-suspect path resumes on a better one (counted as a
+  /// migration, not a retry). Empty = one path, the testbed's own route:
+  /// placement then has a single choice, and `path_power_caps`, per-path
+  /// health series and brownouts aimed at a path index >= 1 have nothing to
+  /// act on.
   net::PathSet paths;
   /// Health scoring for placement and migration.
   HealthMonitorConfig health;
@@ -293,13 +305,15 @@ class Scheduler {
   void decide(Tenant& t, obs::DecisionKind kind, std::string subject,
               std::string detail);
   [[nodiscard]] Seconds defer_delay(const Tenant& t) const;
+  /// True when the schedule has alternates. Read only where a one-entry
+  /// path table would differ from the single path it stands for: building
+  /// the table, the per-site cap books (with one path they are the global
+  /// books) and the per-path health series.
   [[nodiscard]] bool multipath() const noexcept { return !policy_.paths.empty(); }
-  [[nodiscard]] Watts path_cap(int p) const noexcept;
   /// Healthiest path with power headroom for one more session, or -1.
   [[nodiscard]] int pick_path() const;
   [[nodiscard]] int pick_path(bool allow_failed) const;
   void release_capacity(const Tenant& t);
-  void master_tick_multipath();
   /// The pool when this tick should fan out, else null (serial). Parallel
   /// mode needs enough tenants to amortize the dispatch handshake, and every
   /// tenant on its own obs slot (slots are single-writer; without a collector
@@ -308,8 +322,8 @@ class Scheduler {
   /// Copy each running tenant's slice of the arbiter's current round into
   /// the staged scratch (tick_alloc_ / tick_slices_), tagged with the
   /// round's efficiency and burst factors. Staging is what lets the rate
-  /// application run after the arbiter's buffers are reused (multipath runs
-  /// one round per path) and off-thread (slices index caller-owned storage).
+  /// application run after the arbiter's buffers are reused (one round per
+  /// path) and off-thread (slices index caller-owned storage).
   void stage_allocations(const std::vector<Tenant*>& group, double eff,
                          double burst_cap);
   /// Serial-commit telemetry hooks. sample_telemetry() fills the hub's
@@ -320,6 +334,11 @@ class Scheduler {
   void sample_telemetry(Watts measured);
   void flight_note(Watts measured);
   void emit_sched_tracks();
+  /// Publish the tick's measured power and per-path phi to the collector's
+  /// gauges. Handles are resolved on the first call — the first tick with a
+  /// running tenant — so a schedule in which nothing ever runs exports no
+  /// 0-valued gauges, and later ticks neither allocate nor lock.
+  void publish_tick_gauges(Watts measured);
 
   const testbeds::Testbed testbed_;
   BitsPerSecond reference_rate_ = 0.0;
@@ -342,8 +361,6 @@ class Scheduler {
   std::vector<Tenant*> queue_;    ///< waiting, in priority order
   std::vector<Tenant*> running_;  ///< dispatch order (preemption scans back)
   Watts running_peak_sum_ = 0.0;  ///< sum of running sessions' peak bounds (all paths)
-  Watts session_peak_ = 0.0;      ///< per-session bound (one shared env)
-  double link_factor_ = 1.0;      ///< site-level brownout factor
   int unfinished_ = 0;            ///< tenants not yet terminal
   int deferred_ = 0;              ///< tenants parked in a tariff deferral
   std::uint64_t watchdog_aborts_ = 0;  ///< cumulative, fed to the flight ring
@@ -361,15 +378,17 @@ class Scheduler {
   };
   std::vector<Tenant*> overdue_;        ///< watchdog sweep
   std::vector<Tenant*> finished_;       ///< tenants completing this tick
-  std::vector<Tenant*> path_group_;     ///< multipath: one path's tenants
-  std::vector<Watts> path_measured_;    ///< multipath per-site power books
-  std::vector<double> path_bytes_;      ///< multipath health feed
+  std::vector<Tenant*> path_group_;     ///< one path's tenants
+  std::vector<Watts> path_measured_;    ///< per-site power books
+  std::vector<double> path_bytes_;      ///< health feed
   std::vector<BitsPerSecond> tick_alloc_;  ///< staged slices, concatenated
   std::vector<StagedSlice> tick_slices_;   ///< indexed like running_
   std::unique_ptr<TickPool> pool_;      ///< live while run() executes (jobs > 1)
 
-  // --- multipath state (empty / unused in single-path mode) ---------------
+  // --- path table: one entry per PathSet option, or one for the testbed's
+  // own environment when there are no alternates ---------------------------
   std::vector<proto::Environment> path_envs_;  ///< stable: sessions hold refs
+  std::vector<Watts> path_cap_;                ///< per-site cap (0 = uncapped)
   std::vector<Watts> path_session_peak_;       ///< per-path session bound
   std::vector<Watts> path_running_peak_;       ///< per-path running peak sums
   std::vector<double> path_link_factor_;       ///< per-path brownout factors
@@ -377,6 +396,8 @@ class Scheduler {
   std::vector<const char*> path_phi_track_;    ///< interned health-track names
   std::unique_ptr<HealthMonitor> health_;
   obs::ObsSinks* sched_sinks_ = nullptr;       ///< scheduler-level obs slot
+  obs::Gauge* peak_power_gauge_ = nullptr;     ///< resolved by publish_tick_gauges
+  std::vector<obs::Gauge*> path_phi_gauge_;    ///< alternates only
 
   // --- scheduler-level counter tracks (collector runs only) ---------------
   const char* sched_running_track_ = nullptr;

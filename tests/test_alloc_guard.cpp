@@ -22,6 +22,8 @@
 
 #include "exp/scheduler.hpp"
 #include "exp/service.hpp"
+#include "net/path_set.hpp"
+#include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
 #include "proto/session.hpp"
 #include "test_env.hpp"
@@ -118,12 +120,25 @@ namespace {
 /// is a differential: the same never-completing 24-tenant schedule run to
 /// horizon T and to horizon 2T must allocate exactly the same number of
 /// times — any per-tick allocation would make the longer run allocate more.
-std::uint64_t fleet_allocations(const Seconds horizon, const double telemetry_stride) {
+/// `two_paths` spreads the fleet over a primary and a backup route and
+/// attaches an ObsCollector, so the per-path rounds and the per-tick gauges
+/// (peak power, per-path phi) are under the same differential.
+std::uint64_t fleet_allocations(const Seconds horizon, const double telemetry_stride,
+                                const bool two_paths = false) {
   auto tb = testbeds::xsede();
   SchedulerPolicy policy;
   policy.max_concurrent = 24;
   policy.max_queue_depth = 24;
   policy.horizon = horizon;
+  if (two_paths) {
+    policy.paths.add({"primary", tb.env.path, tb.env.route, 0});
+    net::PathSpec alt = tb.env.path;
+    alt.rtt *= 1.5;
+    policy.paths.add({"backup", alt, net::futuregrid_route(), 1});
+    // Room for half the fleet per site, so placement fills both paths.
+    const Watts peak = session_peak_power_bound(tb.env);
+    policy.path_power_caps = {peak * 12.5, peak * 12.5};
+  }
   proto::SessionConfig cfg;
   cfg.tick = 0.1;
   cfg.sample_interval = 2.0;
@@ -147,9 +162,11 @@ std::uint64_t fleet_allocations(const Seconds horizon, const double telemetry_st
   // them must not add per-tick or per-sample allocations.
   obs::TelemetryHub hub(telemetry_stride, 256, 1);
   obs::TickFlightRecorder flightrec;
+  obs::ObsCollector collector;
   Scheduler scheduler(tb, gbps(7.0), policy, cfg);
   scheduler.set_telemetry(&hub);
   scheduler.set_flight_recorder(&flightrec);
+  if (two_paths) scheduler.set_collector(&collector);
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   const auto report = scheduler.run(std::move(jobs));
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
@@ -159,6 +176,11 @@ std::uint64_t fleet_allocations(const Seconds horizon, const double telemetry_st
     EXPECT_GT(hub.size(), 0u);
   }
   EXPECT_EQ(flightrec.triggers(), 0u);  // a clean run never dumps
+  if (two_paths) {
+    int on_backup = 0;
+    for (const auto& out : report.jobs) on_backup += out.path == 1 ? 1 : 0;
+    EXPECT_EQ(on_backup, 12);
+  }
   return after - before;
 }
 
@@ -178,6 +200,17 @@ TEST(AllocGuard, TelemetrySamplingTicksAreAllocationFree) {
   const std::uint64_t long_run = fleet_allocations(120.0, /*telemetry_stride=*/5.0);
   EXPECT_EQ(short_run, long_run)
       << "the longer run's extra telemetry samples allocated "
+      << (long_run - short_run) << " times";
+}
+
+TEST(AllocGuard, TwoPathTicksWithCollectorAreAllocationFree) {
+  // Two fair-share rounds a tick and the collector's gauges updated every
+  // tick: the gauge handles are resolved once, so the 600 extra ticks of the
+  // longer run must not allocate either.
+  const std::uint64_t short_run = fleet_allocations(60.0, 0.0, /*two_paths=*/true);
+  const std::uint64_t long_run = fleet_allocations(120.0, 0.0, /*two_paths=*/true);
+  EXPECT_EQ(short_run, long_run)
+      << "the extra 600 two-path master ticks of the longer run allocated "
       << (long_run - short_run) << " times";
 }
 
