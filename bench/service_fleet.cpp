@@ -10,7 +10,11 @@
 // is reported, and a mismatch fails the run regardless of how fast it was.
 // The timing half records an eadt-bench-v1 MicroSample named
 // "fleet_tick_pipeline" whose `speedup` field is the CI tripwire: the perf
-// workflow requires >= 2x at 4 workers on machines with >= 4 cores.
+// workflow requires >= 1.3x at 4 workers on machines with >= 4 cores, below
+// the 1.53-2.93x (median 2.11x) of ten runs on a 4-vCPU VM (docs/MODEL.md
+// §16). The
+// serial arbiter rounds and tick commit bound the gain, so 4 workers never
+// give 4x.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -199,8 +203,8 @@ int main(int argc, char** argv) {
   std::cout << "speedup at " << jobs << " workers: "
             << Table::num(speedup, 2) << "x ("
             << Table::num(seq.wall_ms, 1) << " ms -> "
-            << Table::num(par.wall_ms, 1) << " ms; advisory here, gated in "
-            << "CI on >= 4 cores)\n";
+            << Table::num(par.wall_ms, 1) << " ms; advisory here, CI requires "
+            << ">= 1.3x on >= 4 cores)\n";
 
   exp::BenchRecord record;
   record.total_wall_ms = seq.wall_ms + par.wall_ms;

@@ -184,21 +184,38 @@ struct PhaseTimer {
   std::chrono::steady_clock::time_point last;
 };
 
-/// One tick phase over [0, count): sharded across the pool when one is
-/// engaged, inline in index order otherwise. The lambda is passed by address
-/// as the pool's context — no std::function, no allocation on the tick path.
+/// Tenants per pool index in a sharded tick phase. The pool cuts its
+/// indices into one contiguous block per worker and lets a worker that is
+/// done help with the others', so a chunk is the unit a slow or descheduled
+/// worker's block is taken over in: 0.3-2 us of work per phase on the
+/// fleet_1k schedule, against one uncontended atomic claim.
+constexpr std::size_t kTenantsPerChunk = 8;
+
+/// One tick phase over [0, count): inline in index order without a pool;
+/// with one, in chunks of kTenantsPerChunk tenants, one pool index each.
+/// Worker w's block is the w-th contiguous slice of the tenants, so while
+/// the workers keep pace a tenant's session stays on one thread, in one
+/// core's cache, across the phases and ticks. The phase state is passed by
+/// address as the pool's context — no std::function, no allocation on the
+/// tick path.
 template <typename Fn>
 void run_phase(TickPool* pool, std::size_t count, Fn&& fn) {
   if (pool == nullptr) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
+  struct Phase {
+    std::remove_reference_t<Fn>* fn;
+    std::size_t count;
+  } phase{&fn, count};
   pool->run(
-      count,
-      [](void* ctx, std::size_t i) {
-        (*static_cast<std::remove_reference_t<Fn>*>(ctx))(i);
+      (count + kTenantsPerChunk - 1) / kTenantsPerChunk,
+      [](void* ctx, std::size_t c) {
+        const Phase& p = *static_cast<const Phase*>(ctx);
+        const std::size_t end = std::min(p.count, (c + 1) * kTenantsPerChunk);
+        for (std::size_t i = c * kTenantsPerChunk; i < end; ++i) (*p.fn)(i);
       },
-      &fn);
+      &phase);
 }
 
 }  // namespace
@@ -394,8 +411,9 @@ TickPool* Scheduler::tick_pool() const noexcept {
   if (pool_ == nullptr) return nullptr;
   if (running_.size() < kMinParallelTenants) return nullptr;
   // Without a collector every tenant shares base_config_.obs, and trace /
-  // decision slots are single-writer — sharded prepare phases would race on
-  // them. A collector gives each tenant its own slot, so the gate opens.
+  // decision slots are single-writer — the sharded prepare and commit phases
+  // would race on them. A collector gives each tenant its own slot, so the
+  // gate opens.
   if (collector_ == nullptr && base_config_.obs != nullptr) return nullptr;
   return pool_.get();
 }
@@ -653,17 +671,16 @@ bool Scheduler::master_tick() {
     TickPool* pool = tick_pool();
     PhaseTimer timer(profiler_);
 
-    // Phase 1 (parallel-safe): per-session prepare + demand collection +
-    // group collapse. Each tenant touches only its own session state and its
-    // own single-writer obs slot, so sharding cannot reorder anything a
-    // tenant observes — the rounds below read the results in admission
-    // order regardless of which worker produced them.
+    // Phase 1 (parallel-safe): per-session prepare + demand collection.
+    // Each tenant touches only its own session state and its own
+    // single-writer obs slot, so sharding cannot reorder anything a tenant
+    // observes — the rounds below read the results in admission order
+    // regardless of which worker produced them.
     run_phase(pool, n_run, [&](std::size_t i) {
       Tenant& t = *running_[i];
       t.tick_index = i;
       t.session->tick_prepare();
       t.session->collect_link_demands();
-      (void)t.session->link_demand_groups();
     });
     timer.lap(obs::TickProfiler::kPrepare);
 
@@ -698,13 +715,7 @@ bool Scheduler::master_tick() {
       path_capacity_[p] = capacity;
 
       arbiter_.begin_round(capacity);
-      // Grouped submission: each tenant's demand list is run-length
-      // collapsed, which the arbiter expands back verbatim — the joint round
-      // is bitwise the same as per-flow submit(), and fleets of same-shape
-      // tenants let the waterfill path solve at group cost.
-      for (Tenant* t : path_group_) {
-        arbiter_.submit_groups(t->session->cached_link_demand_groups());
-      }
+      for (Tenant* t : path_group_) arbiter_.submit(t->session->link_demands());
       arbiter_.allocate();
 
       double agg_demand = 0.0;
@@ -740,23 +751,35 @@ bool Scheduler::master_tick() {
           staged.eff, staged.burst_cap);
       s.advance_compute();
     });
+
+    // Phase 3b (parallel-safe): each session's commit — obs_tick, the
+    // sample-window close and its controller's on_sample. These write only
+    // the session, its controller and its obs slot; the scheduler sets no
+    // checkpoint sink or observer, and registry metrics commute. A separate
+    // phase rather than a tail of 3a, so that without a pool every tenant's
+    // compute still precedes every commit, exactly the sequential order a
+    // shared obs slot records. The "more to do" flag is staged for 3c.
+    tick_more_.resize(n_run);
+    run_phase(pool, n_run, [&](std::size_t i) {
+      tick_more_[i] = running_[i]->session->advance_commit() ? 1 : 0;
+    });
     timer.lap(obs::TickProfiler::kApply);
 
-    // Phase 3b (serial commit, admission order): everything that touches the
-    // shared simulation or cross-tenant books — checkpoint emission, obs,
-    // sampling/controller callbacks, the power books globally AND per site
-    // (kept in admission order so the floating-point reductions are bitwise
-    // the sequential ones), the health feed, and completion collection.
+    // Phase 3c (serial commit, admission order): the cross-tenant books —
+    // measured power globally AND per site (kept in admission order so the
+    // floating-point reductions are bitwise the sequential ones), the cap
+    // checks, the health feed, gauges, telemetry, the flight recorder and
+    // completion.
     finished_.clear();
     Watts measured = 0.0;
     path_measured_.assign(n, 0.0);
     path_bytes_.assign(n, 0.0);
-    for (Tenant* t : running_) {
-      const bool more = t->session->advance_commit();
+    for (std::size_t i = 0; i < n_run; ++i) {
+      Tenant* t = running_[i];
       measured += t->session->last_tick_power();
       path_measured_[t->path] += t->session->last_tick_power();
       path_bytes_[t->path] += static_cast<double>(t->session->last_tick_bytes());
-      if (!more) finished_.push_back(t);
+      if (tick_more_[i] == 0) finished_.push_back(t);
     }
     report_.peak_power = std::max(report_.peak_power, measured);
     const bool cap_exceeded =
@@ -1011,8 +1034,8 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
   sim_.add_ticker(base_config_.tick, [this] { return master_tick(); });
   sim_.run_until(policy_.horizon + base_config_.tick);
   if (profiler_ != nullptr && pool_ != nullptr) {
-    // Occupancy is wall-clock diagnostics: how evenly the atomic cursor
-    // spread tick phases over the pool, read once before the workers join.
+    // Occupancy is wall-clock diagnostics: how many tenant chunks each
+    // worker ran, read once before the workers join.
     for (int w = 0; w < pool_->jobs(); ++w) {
       profiler_->record_worker_ops(static_cast<std::size_t>(w), pool_->worker_ops(w));
     }

@@ -133,11 +133,10 @@ struct SchedulerPolicy {
   // reason as the path fields above).
   /// Workers for the per-tenant phases of the master tick (exp::TickPool).
   /// <= 1 keeps the tick single-threaded. The report, traces and metrics are
-  /// byte-identical at any value — parallel-safe phases run sharded with
-  /// per-session state, everything touching the shared Simulation commits
-  /// serially in admission order (MODEL.md §16) — so `jobs` is purely a
-  /// wall-clock knob. Callers wire exp::resolve_jobs() through here to honor
-  /// --jobs / EADT_JOBS.
+  /// byte-identical at any value — the per-session phases run sharded, and
+  /// every cross-tenant reduction commits serially in admission order
+  /// (MODEL.md §16) — so `jobs` is purely a wall-clock knob. Callers wire
+  /// exp::resolve_jobs() through here to honor --jobs / EADT_JOBS.
   int jobs = 1;
 };
 
@@ -383,6 +382,10 @@ class Scheduler {
   std::vector<double> path_bytes_;      ///< health feed
   std::vector<BitsPerSecond> tick_alloc_;  ///< staged slices, concatenated
   std::vector<StagedSlice> tick_slices_;   ///< indexed like running_
+  /// advance_commit()'s "more to do" per tenant, staged by the sharded
+  /// commit phase for the serial one; indexed like running_. Bytes, not
+  /// vector<bool>: neighbouring tenants are written from different workers.
+  std::vector<unsigned char> tick_more_;
   std::unique_ptr<TickPool> pool_;      ///< live while run() executes (jobs > 1)
 
   // --- path table: one entry per PathSet option, or one for the testbed's

@@ -60,10 +60,7 @@ BitsPerSecond fair_share_reference_into(BitsPerSecond capacity,
 BitsPerSecond fair_share_into(BitsPerSecond capacity, std::span<const Demand> demands,
                               std::vector<BitsPerSecond>& allocation,
                               FairShareScratch& scratch) {
-  if (demands.size() < kWaterfillThreshold) {
-    return fair_share_reference_into(capacity, demands, allocation, scratch);
-  }
-  return scratch.solver.solve(capacity, demands, allocation);
+  return fair_share_reference_into(capacity, demands, allocation, scratch);
 }
 
 FairShareResult fair_share(BitsPerSecond capacity, std::span<const Demand> demands) {

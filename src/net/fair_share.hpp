@@ -24,21 +24,20 @@ struct FairShareResult {
 };
 
 /// Reusable workspace for fair_share_into. The allocator runs every tick for
-/// every disk pool and the shared link; holding the round-robin active set
-/// (and, for large rounds, the waterfill solver's buffers) here — capacity
-/// preserved across calls — makes steady-state allocation heap-free. A
-/// scratch is cheap state, not a cache: results are identical whether it is
-/// fresh or reused.
+/// every disk pool and the shared link; holding the progressive-filling
+/// active set here — capacity preserved across calls — makes steady-state
+/// allocation heap-free. A scratch is cheap state, not a cache: results are
+/// identical whether it is fresh or reused.
 struct FairShareScratch {
   std::vector<std::size_t> active;
-  WaterfillSolver solver;
 };
 
 /// The pinned per-flow progressive-filling loop — the semantics every golden
-/// in the repo was recorded against, kept verbatim. fair_share_into routes
-/// small rounds here directly; WaterfillSolver is bitwise-equivalent to this
-/// on every input (enforced by tests/test_waterfill.cpp), and the core_micro
-/// bench races the solver against it at 10^5-10^6 flows.
+/// in the repo was recorded against, kept verbatim. fair_share_into runs it
+/// at every round size. WaterfillSolver is bitwise-equivalent to this on
+/// every input (enforced by tests/test_waterfill.cpp); the core_micro bench
+/// races the solver against it on a synthetic 10^5-10^6-flow cascade, but no
+/// product round calls the solver (MODEL.md §15).
 BitsPerSecond fair_share_reference_into(BitsPerSecond capacity,
                                         std::span<const Demand> demands,
                                         std::vector<BitsPerSecond>& allocation,
@@ -48,17 +47,16 @@ BitsPerSecond fair_share_reference_into(BitsPerSecond capacity,
 /// into `allocation` (resized to demands.size(); previous contents ignored).
 /// Returns the total. Bitwise-identical to fair_share() — same values out,
 /// whatever the path — and allocation-free once `allocation` and `scratch`
-/// have warmed to capacity. Small rounds run the reference loop; rounds of
-/// kWaterfillThreshold or more demands run the ratio-sorted waterfill solver
-/// (bitwise-identical by contract, and far cheaper when demands repeat).
+/// have warmed to capacity. Every round runs the reference loop: on the
+/// fleet's ~1,300-flow arbiter rounds it costs a fraction of the waterfill
+/// solver's ratio sort, so the solver earns no place on the product path.
 BitsPerSecond fair_share_into(BitsPerSecond capacity, std::span<const Demand> demands,
                               std::vector<BitsPerSecond>& allocation,
                               FairShareScratch& scratch);
 
-/// Demand count at which fair_share_into switches from the reference loop to
-/// the waterfill solver. Session-sized rounds (dozens of channels) stay on
-/// the sweep — sorting them would cost more than it saves; fleet-sized
-/// arbiter rounds cross the threshold and solve at group cost.
+/// Round size perfbench's fleet replay counts as a waterfill-sized round.
+/// No library code dispatches on it; it goes when that replay drops its
+/// solver rows.
 inline constexpr std::size_t kWaterfillThreshold = 512;
 
 /// Weighted max-min fair allocation of `capacity` across `demands`.
@@ -77,9 +75,8 @@ inline constexpr std::size_t kWaterfillThreshold = 512;
 /// channels of one session — stream-count weighted, work-conserving, with no
 /// per-tenant reservations. slice(i) returns tenant i's view of the result
 /// in submission order. Buffers are reused across rounds (allocation-free
-/// once warm, like FairShareScratch). Rounds above kWaterfillThreshold solve
-/// through the waterfill path automatically — bitwise-identical, but a fleet
-/// of same-shape tenants costs per-group, not per-flow.
+/// once warm, like FairShareScratch). Every round runs the reference loop,
+/// whatever its size; exp::Scheduler submits each tenant's per-flow demands.
 class LinkArbiter {
  public:
   /// Start a round. Earlier submissions are discarded.
@@ -89,7 +86,8 @@ class LinkArbiter {
   /// Add one tenant's demands as (cap, weight, count) groups — each group
   /// contributes `count` contiguous identical flows to the round, exactly as
   /// if submit() had been called with the expansion. The slice stays
-  /// per-flow (member-aligned with the expansion).
+  /// per-flow (member-aligned with the expansion). No product path calls
+  /// this; the waterfill tests and the benchmark replay do.
   std::size_t submit_groups(std::span<const DemandGroup> groups);
   /// Run the joint fair-share round. Call once per round, after all submits.
   void allocate();

@@ -159,8 +159,8 @@ class TransferSession : private FaultHost {
   /// but a fleet of same-shape tenants costs the arbiter per-group.
   [[nodiscard]] std::span<const net::DemandGroup> link_demand_groups();
   /// The groups built by the last link_demand_groups() call, without
-  /// recomputing them. Lets a serial arbitration loop submit what a parallel
-  /// prepare phase already collapsed (exp::Scheduler's tick pipeline).
+  /// recomputing them. No product path calls either getter (exp::Scheduler
+  /// submits link_demands() per flow); perfbench's fleet replay does.
   [[nodiscard]] std::span<const net::DemandGroup> cached_link_demand_groups()
       const noexcept {
     return scratch_.link_groups;
@@ -177,8 +177,8 @@ class TransferSession : private FaultHost {
   /// Tick phase 3: move bytes, account energy, emit checkpoints/samples.
   /// Returns false once every queue is drained (the transfer is complete).
   /// Exactly advance_compute() followed by advance_commit(); a shared-
-  /// simulation driver may call the halves itself to overlap many sessions'
-  /// compute before committing them in admission order (MODEL.md §16).
+  /// simulation driver may call the halves itself to run many sessions'
+  /// compute, then their commits, sharded across workers (MODEL.md §16).
   [[nodiscard]] bool advance_tick();
   /// Tick phase 3a — the parallel-safe half of advance_tick(): move bytes
   /// through the channels and account this tick's energy. Touches only this
@@ -186,10 +186,14 @@ class TransferSession : private FaultHost {
   /// never the shared Simulation, so disjoint sessions may run it
   /// concurrently with bit-identical results.
   void advance_compute();
-  /// Tick phase 3b — the serial half: checkpoint emission, observability,
-  /// sampling windows and controller callbacks for the tick that
-  /// advance_compute() just produced. Must run on the driving thread, in a
-  /// fixed session order. Returns false once every queue is drained.
+  /// Tick phase 3b — checkpoint emission, observability, sampling windows
+  /// and controller callbacks for the tick that advance_compute() just
+  /// produced. Reads the shared Simulation's clock and writes this session,
+  /// its controller, its obs sinks and, when set, the checkpoint sink and
+  /// observer. Disjoint sessions may therefore commit concurrently when none
+  /// has a checkpoint sink or observer and no two share a trace or decision
+  /// log (exp::Scheduler's sharded commit, MODEL.md §16). Returns false once
+  /// every queue is drained.
   [[nodiscard]] bool advance_commit();
   /// Close the books at raw simulation clock `end_raw` and build the result
   /// (abort checkpoint included when `completed` is false). The session is
@@ -388,7 +392,7 @@ class TransferSession : private FaultHost {
   Watts last_tick_power_ = 0.0;
   Bytes last_tick_bytes_ = 0;
   /// Energy accrued by the last advance_compute(), handed to the matching
-  /// advance_commit() (obs + sampling read it on the driving thread).
+  /// advance_commit() (obs + sampling read it there).
   Joules pending_tick_energy_ = 0.0;
   struct ObsState;
   std::unique_ptr<ObsState> obs_;  ///< built by run() iff sinks are attached

@@ -122,14 +122,17 @@ namespace {
 /// times — any per-tick allocation would make the longer run allocate more.
 /// `two_paths` spreads the fleet over a primary and a backup route and
 /// attaches an ObsCollector, so the per-path rounds and the per-tick gauges
-/// (peak power, per-path phi) are under the same differential.
+/// (peak power, per-path phi) are under the same differential. `tick_jobs` > 1
+/// runs the tick pipeline on a TickPool: the 24 running tenants clear the
+/// pool's 16-tenant cutoff, so every tick fans out.
 std::uint64_t fleet_allocations(const Seconds horizon, const double telemetry_stride,
-                                const bool two_paths = false) {
+                                const bool two_paths = false, const int tick_jobs = 1) {
   auto tb = testbeds::xsede();
   SchedulerPolicy policy;
   policy.max_concurrent = 24;
   policy.max_queue_depth = 24;
   policy.horizon = horizon;
+  policy.jobs = tick_jobs;
   if (two_paths) {
     policy.paths.add({"primary", tb.env.path, tb.env.route, 0});
     net::PathSpec alt = tb.env.path;
@@ -163,10 +166,15 @@ std::uint64_t fleet_allocations(const Seconds horizon, const double telemetry_st
   obs::TelemetryHub hub(telemetry_stride, 256, 1);
   obs::TickFlightRecorder flightrec;
   obs::ObsCollector collector;
+  // The wall-clock profiler rides pooled runs: its per-worker ops gauges
+  // show the pool actually took the phases.
+  obs::MetricsRegistry profile;
+  obs::TickProfiler profiler(profile);
   Scheduler scheduler(tb, gbps(7.0), policy, cfg);
   scheduler.set_telemetry(&hub);
   scheduler.set_flight_recorder(&flightrec);
   if (two_paths) scheduler.set_collector(&collector);
+  if (tick_jobs > 1) scheduler.set_tick_profiler(&profiler);
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   const auto report = scheduler.run(std::move(jobs));
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
@@ -180,6 +188,13 @@ std::uint64_t fleet_allocations(const Seconds horizon, const double telemetry_st
     int on_backup = 0;
     for (const auto& out : report.jobs) on_backup += out.path == 1 ? 1 : 0;
     EXPECT_EQ(on_backup, 12);
+  }
+  if (tick_jobs > 1) {
+    double ops = 0.0;
+    for (const auto& m : profile.snapshot()) {
+      if (m.name.ends_with(".ops")) ops += m.value;
+    }
+    EXPECT_GT(ops, 0.0) << "the tick pool never engaged";
   }
   return after - before;
 }
@@ -200,6 +215,17 @@ TEST(AllocGuard, TelemetrySamplingTicksAreAllocationFree) {
   const std::uint64_t long_run = fleet_allocations(120.0, /*telemetry_stride=*/5.0);
   EXPECT_EQ(short_run, long_run)
       << "the longer run's extra telemetry samples allocated "
+      << (long_run - short_run) << " times";
+}
+
+TEST(AllocGuard, SchedulerPooledTicksAreAllocationFree) {
+  // The same differential at 4 tick workers: range dispatch, the spin-then-
+  // park hand-off and the sharded commit's staged flags must not allocate
+  // per tick either.
+  const std::uint64_t short_run = fleet_allocations(60.0, 5.0, false, /*tick_jobs=*/4);
+  const std::uint64_t long_run = fleet_allocations(120.0, 5.0, false, /*tick_jobs=*/4);
+  EXPECT_EQ(short_run, long_run)
+      << "the extra 600 pooled master ticks of the longer run allocated "
       << (long_run - short_run) << " times";
 }
 

@@ -117,12 +117,11 @@ TEST(FairShare, AllZeroWeightsAllocateNothing) {
   for (double a : r.allocation) EXPECT_DOUBLE_EQ(a, 0.0);
 }
 
-// Pin the all-zero-weight contract on BOTH dispatch paths: above the
-// waterfill threshold the active set is non-empty but its weight sum is
-// zero, so the waterlevel division must be guarded — the round allocates
-// nothing (no NaNs, no infinities) instead of dividing by zero. Routed
-// through fair_share_into and a full LinkArbiter round so the guard is
-// checked where production traffic actually flows.
+// Pin the all-zero-weight contract at fleet size: the active set is
+// non-empty but its weight sum is zero, so the waterlevel division must be
+// guarded — the round allocates nothing (no NaNs, no infinities) instead of
+// dividing by zero. Routed through fair_share_into and a full LinkArbiter
+// round so the guard is checked where production traffic actually flows.
 TEST(FairShare, AllZeroWeightsAboveThresholdAllocateNothing) {
   std::vector<Demand> d(kWaterfillThreshold * 3, Demand{gbps(2.0), 0.0});
   FairShareScratch scratch;

@@ -417,11 +417,10 @@ TEST(FuzzRobustness, SupervisorInvariantsHoldAcrossSeeds) {
 }
 
 // --- link arbiter at fleet scale ------------------------------------------
-// The arbiter auto-routes big rounds through the waterfill solver; these
-// fuzz rounds push it to 10^4-10^5 submitted demands (many tenant slices,
-// heavy duplicate clusters, a dose of degenerate entries) and require the
-// joint allocation to stay bitwise equal to the pinned reference loop run
-// on the plain concatenation.
+// These fuzz rounds push the arbiter to 10^4-10^5 demands submitted as
+// groups (many tenant slices, heavy duplicate clusters, a dose of degenerate
+// entries) and require the joint allocation to stay bitwise equal to the
+// pinned reference loop run on the plain concatenation.
 
 struct ArbiterFuzzRound {
   double capacity = 0.0;
@@ -494,7 +493,7 @@ TEST(FuzzRobustness, ArbiterAtScaleMatchesReferenceBitwise) {
 }
 
 TEST(FuzzRobustness, ArbiterSameSeedIsBitReproducibleAcrossJobCounts) {
-  // The solver is deterministic scalar code, so the worker count of the
+  // The round is deterministic scalar code, so the worker count of the
   // process around it must be invisible: run the same seeded rounds
   // sequentially and on 4 threads (one arbiter per thread, disjoint rounds
   // — the arbiter is shared-nothing by design) and require bitwise equality.
@@ -553,10 +552,12 @@ TEST(FuzzRobustness, ArbiterSameSeedIsBitReproducibleAcrossJobCounts) {
 
 /// One randomized fleet schedule, run at `tick_jobs` pipeline workers. The
 /// whole draw happens before the run, from the seed alone, so two calls with
-/// different `tick_jobs` schedule byte-identical inputs.
+/// different `tick_jobs` schedule byte-identical inputs. `shared` puts every
+/// tenant on one set of sinks (SessionConfig::obs) instead of a collector.
 FuzzRun run_parallel_fleet(std::uint64_t seed, int n, int tick_jobs,
                            bool multipath = false,
-                           obs::ObsCollector* collector = nullptr) {
+                           obs::ObsCollector* collector = nullptr,
+                           obs::ObsSinks* shared = nullptr) {
   Rng rng(seed);
   const auto tb = tiny_xsede();
 
@@ -592,7 +593,9 @@ FuzzRun run_parallel_fleet(std::uint64_t seed, int n, int tick_jobs,
     }
   }
 
-  Scheduler scheduler(tb, gbps(7.0), policy, fast_cfg());
+  proto::SessionConfig cfg = fast_cfg();
+  cfg.obs = shared;
+  Scheduler scheduler(tb, gbps(7.0), policy, cfg);
   scheduler.set_fault_plan(fuzz_faults(rng));
   if (collector != nullptr) scheduler.set_collector(collector);
 
@@ -697,6 +700,37 @@ TEST(FuzzRobustness, ParallelFleetObsExportsMatchSequential) {
   const std::string b = dump(par_obs);
   EXPECT_GT(a.size(), 2u);
   expect_payloads_equal(a, b);
+}
+
+TEST(FuzzRobustness, ParallelFleetSharedSinksMatchSequential) {
+  // Without a collector every tenant writes one shared trace and decision
+  // log, which are single-writer: the pool must stay disengaged however many
+  // tenants run (tick_pool()'s gate), so the sharded prepare and commit
+  // phases never race on them. The report and all three exports must be
+  // byte-identical to the sequential run's.
+  struct Shared {
+    obs::MetricsRegistry metrics;
+    obs::TraceBuffer trace;
+    obs::DecisionLog decisions;
+    obs::ObsSinks sinks{&metrics, &trace, &decisions};
+    std::string dump() const {
+      std::ostringstream t, m, d;
+      obs::write_chrome_trace(t, {{"fleet", &trace}});
+      metrics.write_json(m);
+      decisions.write_json(d);
+      return t.str() + "\n" + m.str() + "\n" + d.str();
+    }
+  };
+  Shared seq_obs;
+  Shared par_obs;
+  const auto seq = run_parallel_fleet(131, 100, 1, false, nullptr, &seq_obs.sinks);
+  const auto par = run_parallel_fleet(131, 100, 4, false, nullptr, &par_obs.sinks);
+  EXPECT_GE(par.report.max_concurrent_observed, 16);
+  expect_payloads_equal(scheduler_report_payload(seq.report),
+                        scheduler_report_payload(par.report));
+  EXPECT_GT(seq_obs.trace.events().size(), 0u);
+  EXPECT_FALSE(seq_obs.decisions.empty());
+  expect_payloads_equal(seq_obs.dump(), par_obs.dump());
 }
 
 }  // namespace

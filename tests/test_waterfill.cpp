@@ -287,9 +287,9 @@ TEST(Waterfill, CertifiedPathEngagesOnSeparatedGrids) {
 
 // --- integration with fair_share_into and the arbiter --------------------
 
-// fair_share_into dispatches by size: below the threshold it runs the
-// reference loop, at/above it the solver. Both sides of the seam must agree
-// bitwise with fair_share() on the same input.
+// fair_share_into runs the reference loop at every size; around the old
+// kWaterfillThreshold seam it must still agree bitwise with fair_share() on
+// the same input.
 TEST(Waterfill, FairShareIntoDispatchIsSeamlessAcrossThreshold) {
   Rng rng(0xD15B);
   FairShareScratch scratch;
