@@ -10,6 +10,7 @@
 
 #include "baselines/baselines.hpp"
 #include "core/algorithms.hpp"
+#include "exp/service.hpp"
 #include "testbeds/testbeds.hpp"
 #include "util/table.hpp"
 
@@ -43,7 +44,7 @@ int main() {
     proto::TransferSession session(
         testbed.env, dataset, core::plan_slaee(testbed.env, dataset, max_channels));
     const auto r = session.run(&controller);
-    const bool met = r.avg_throughput() >= target * 0.93;  // 7% tolerance (paper)
+    const bool met = exp::meets_sla(r.avg_throughput(), target);
     report.add_row({tier.name, Table::num(to_mbps(target), 0),
                     Table::num(to_mbps(r.avg_throughput()), 0), met ? "yes" : "no",
                     Table::num(r.end_system_energy, 0),

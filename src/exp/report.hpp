@@ -1,8 +1,5 @@
-// Result export: CSV time series and gnuplot scripts for the figure benches.
-//
-// Every RunResult carries 5-second samples; these helpers turn them (and
-// whole concurrency sweeps) into machine-readable artefacts so the paper's
-// plots can be regenerated outside the terminal tables.
+// Result export: sweep CSVs and gnuplot scripts for the figure benches, so
+// the paper's plots can be regenerated outside the terminal tables.
 #pragma once
 
 #include <iosfwd>
@@ -13,9 +10,6 @@
 #include "exp/runner.hpp"
 
 namespace eadt::exp {
-
-/// One run's sampling windows: t_start,t_end,mbps,joule,active_channels.
-void write_samples_csv(std::ostream& os, const proto::RunResult& result);
 
 /// A figure-2-style sweep: one row per concurrency level, one column group
 /// per algorithm (throughput_mbps, energy_j, ratio).
@@ -32,8 +26,5 @@ void write_sweep_csv(std::ostream& os, const SweepTable& sweep);
 /// into the script; output is `<stem>_{a,b,c}.png`.
 void write_sweep_gnuplot(std::ostream& os, const SweepTable& sweep,
                          const std::string& csv_path, const std::string& stem);
-
-/// Short human summary of one run ("4819 Mbps, 21.6 kJ, 223 b/J, 12 ch").
-[[nodiscard]] std::string summarize(const proto::RunResult& result);
 
 }  // namespace eadt::exp

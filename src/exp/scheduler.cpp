@@ -8,7 +8,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "baselines/baselines.hpp"
 #include "exp/tick_pool.hpp"
 #include "net/tcp_model.hpp"
 #include "obs/obs.hpp"
@@ -245,15 +244,7 @@ Scheduler::Scheduler(testbeds::Testbed testbed, BitsPerSecond reference_rate,
       base_config_(base_config) {
   policy_.max_concurrent = std::max(1, policy_.max_concurrent);
   policy_.max_queue_depth = std::max(1, policy_.max_queue_depth);
-  if (reference_rate_ <= 0.0) {
-    // Same probe the TransferService runs: the site's ProMC best case.
-    const auto probe = testbed_.make_dataset();
-    proto::TransferSession session(
-        testbed_.env, probe,
-        baselines::plan_promc(testbed_.env, probe, testbed_.default_max_channels),
-        base_config_);
-    reference_rate_ = session.run().avg_throughput();
-  }
+  if (reference_rate_ <= 0.0) reference_rate_ = probe_reference_rate(testbed_, base_config_);
 }
 
 Scheduler::~Scheduler() = default;
@@ -605,7 +596,7 @@ void Scheduler::complete(Tenant& t) {
   ++report_.completed;
   if (t.spec.job.policy == JobPolicy::kSla) {
     const BitsPerSecond target = reference_rate_ * t.spec.job.sla_percent / 100.0;
-    t.out.sla_met = t.out.result.avg_throughput() >= target * 0.93;
+    t.out.sla_met = meets_sla(t.out.result.avg_throughput(), target);
   } else {
     t.out.sla_met = true;
   }
@@ -755,10 +746,10 @@ bool Scheduler::master_tick() {
     // Phase 3b (parallel-safe): each session's commit — obs_tick, the
     // sample-window close and its controller's on_sample. These write only
     // the session, its controller and its obs slot; the scheduler sets no
-    // checkpoint sink or observer, and registry metrics commute. A separate
-    // phase rather than a tail of 3a, so that without a pool every tenant's
-    // compute still precedes every commit, exactly the sequential order a
-    // shared obs slot records. The "more to do" flag is staged for 3c.
+    // checkpoint sink, and registry metrics commute. A separate phase rather
+    // than a tail of 3a, so that without a pool every tenant's compute still
+    // precedes every commit, exactly the sequential order a shared obs slot
+    // records. The "more to do" flag is staged for 3c.
     tick_more_.resize(n_run);
     run_phase(pool, n_run, [&](std::size_t i) {
       tick_more_[i] = running_[i]->session->advance_commit() ? 1 : 0;
@@ -831,9 +822,6 @@ bool Scheduler::master_tick() {
 
   try_dispatch();
   emit_sched_tracks();
-  // Incremental trace export: drain the streamed buffer every master tick so
-  // a week-long schedule never hits the buffer cap. Cheap when empty.
-  if (stream_ != nullptr) stream_->flush();
   return unfinished_ > 0;
 }
 
@@ -1097,7 +1085,6 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
   if (flightrec_ != nullptr && !report_.accounting_consistent()) {
     flightrec_->trigger("accounting invariant violated", sim_.now());
   }
-  if (stream_ != nullptr) stream_->finish();
   return report_;
 }
 

@@ -61,7 +61,6 @@
 namespace eadt::obs {
 class Gauge;
 class ObsCollector;
-class StreamingTraceWriter;
 class TelemetryHub;
 class TickFlightRecorder;
 class TickProfiler;
@@ -254,14 +253,6 @@ class Scheduler {
     slot_base_ = slot_base;
   }
 
-  /// Stream the trace incrementally: the writer's buffer is drained at the
-  /// end of every master tick and finish()ed when run() returns, so a
-  /// long-running schedule records indefinitely instead of hitting the
-  /// buffer cap at exit-time export. The writer (and its stream) must
-  /// outlive run(); null detaches. The streamed JSON is byte-identical to a
-  /// one-shot write_chrome_trace() of the same buffer.
-  void set_stream(obs::StreamingTraceWriter* stream) noexcept { stream_ = stream; }
-
   /// Attach the deterministic sim-time sampler. Sampling happens in the
   /// serial commit section of the master tick and reads only deterministic
   /// scheduler state, so the hub's export is byte-identical at any `jobs`.
@@ -348,7 +339,6 @@ class Scheduler {
   Seconds tariff_start_ = 0.0;
   obs::ObsCollector* collector_ = nullptr;
   std::size_t slot_base_ = 0;
-  obs::StreamingTraceWriter* stream_ = nullptr;
   obs::TelemetryHub* telemetry_ = nullptr;
   obs::TickFlightRecorder* flightrec_ = nullptr;
   obs::TickProfiler* profiler_ = nullptr;

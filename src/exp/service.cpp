@@ -1,13 +1,9 @@
 #include "exp/service.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <memory>
 
 #include "baselines/baselines.hpp"
-#include "exp/scheduler.hpp"
 #include "obs/obs.hpp"
-#include "obs/openmetrics.hpp"
 
 namespace eadt::exp {
 
@@ -22,18 +18,19 @@ const char* to_string(JobPolicy policy) noexcept {
   return "?";
 }
 
+BitsPerSecond probe_reference_rate(const testbeds::Testbed& testbed,
+                                   const proto::SessionConfig& config) {
+  const auto probe = testbed.make_dataset();
+  proto::TransferSession session(
+      testbed.env, probe,
+      baselines::plan_promc(testbed.env, probe, testbed.default_max_channels), config);
+  return session.run().avg_throughput();
+}
+
 TransferService::TransferService(testbeds::Testbed testbed, BitsPerSecond reference_rate,
                                  proto::SessionConfig config)
     : testbed_(std::move(testbed)), reference_rate_(reference_rate), config_(config) {
-  if (reference_rate_ <= 0.0) {
-    // Measure the site's best case once, on its own dataset recipe.
-    const auto probe = testbed_.make_dataset();
-    proto::TransferSession session(
-        testbed_.env, probe,
-        baselines::plan_promc(testbed_.env, probe, testbed_.default_max_channels),
-        config_);
-    reference_rate_ = session.run().avg_throughput();
-  }
+  if (reference_rate_ <= 0.0) reference_rate_ = probe_reference_rate(testbed_, config_);
 }
 
 JobOutcome TransferService::run_job(const TransferJob& job) const {
@@ -46,36 +43,6 @@ JobOutcome TransferService::run_job(const TransferJob& job) const {
   SupervisorPolicy policy = supervisor_ ? *supervisor_ : single_shot;
   Supervisor supervisor(testbed_, reference_rate_, faults_, policy, config_);
   return supervisor.run(job);
-}
-
-SchedulerReport TransferService::run_concurrent(std::vector<SchedulerJob> jobs,
-                                                const SchedulerPolicy& policy,
-                                                obs::ObsCollector* collector) {
-  Scheduler scheduler(testbed_, reference_rate_, policy, config_);
-  scheduler.set_fault_plan(faults_);
-  if (tariff_) scheduler.set_tariff(*tariff_, queue_start_time_);
-  scheduler.set_collector(collector);
-  scheduler.set_stream(stream_);
-  scheduler.set_telemetry(telemetry_);
-  scheduler.set_flight_recorder(flightrec_);
-  scheduler.set_tick_profiler(profiler_);
-  // The scrape listener lives exactly as long as the schedule runs: it binds
-  // before the first tick (so the port is known and announced up front) and
-  // stops when run() returns. Scrapes read the registry via its snapshot
-  // mutex; the engine's writers stay lock-free on pre-resolved handles.
-  std::unique_ptr<obs::MetricsHttpServer> server;
-  if (metrics_listen_ >= 0 && collector != nullptr) {
-    obs::MetricsRegistry& registry = collector->metrics();
-    server = std::make_unique<obs::MetricsHttpServer>(
-        metrics_listen_, [&registry] { return registry.snapshot(); });
-    if (server->running()) {
-      std::fprintf(stderr, "eadt: serving /metrics on 127.0.0.1:%d\n", server->port());
-    } else {
-      std::fprintf(stderr, "eadt: metrics listener failed (%s); run proceeds unscraped\n",
-                   server->error().c_str());
-    }
-  }
-  return scheduler.run(std::move(jobs));
 }
 
 ServiceReport TransferService::run_queue(std::vector<TransferJob> jobs,

@@ -24,14 +24,6 @@
 #include "proto/session.hpp"
 #include "testbeds/testbeds.hpp"
 
-namespace eadt::obs {
-class ObsCollector;
-class StreamingTraceWriter;
-class TelemetryHub;
-class TickFlightRecorder;
-class TickProfiler;
-}  // namespace eadt::obs
-
 namespace eadt::exp {
 
 enum class JobPolicy { kDeadline, kGreen, kBalanced, kSla, kEnergyBudget };
@@ -88,15 +80,26 @@ struct ServiceReport {
   double mean_rate_fraction = 0.0;
 };
 
+/// A run meets its SLA when it delivers at least this share of the promised
+/// rate: the paper's SLAEE lands "within 7 % deviation" of every target.
+inline constexpr double kSlaFloor = 0.93;
+
+/// True when `achieved` keeps a promise of `target` within that band.
+[[nodiscard]] constexpr bool meets_sla(BitsPerSecond achieved,
+                                       BitsPerSecond target) noexcept {
+  return achieved >= target * kSlaFloor;
+}
+
+/// The site's best case that SLA jobs are scored against: one ProMC run at
+/// the testbed's default channel count over its own dataset recipe.
+[[nodiscard]] BitsPerSecond probe_reference_rate(const testbeds::Testbed& testbed,
+                                                 const proto::SessionConfig& config);
+
 enum class QueueOrder {
   kFifo,
   kShortestFirst,  ///< fewest bytes first (classic makespan heuristic)
   kGreenFirst,     ///< energy-minimising jobs first (off-peak shaping)
 };
-
-struct SchedulerJob;     // scheduler.hpp
-struct SchedulerPolicy;  // scheduler.hpp
-struct SchedulerReport;  // scheduler.hpp
 
 class TransferService {
  public:
@@ -108,14 +111,6 @@ class TransferService {
   /// Run all jobs back to back in the given order. Deterministic.
   [[nodiscard]] ServiceReport run_queue(std::vector<TransferJob> jobs,
                                         QueueOrder order = QueueOrder::kFifo);
-
-  /// Multi-tenant mode: all jobs on one shared simulation under admission
-  /// control, a site power cap, and joint link arbitration (exp::Scheduler).
-  /// The service's tariff, fault plan, and reference rate carry over;
-  /// `collector` (may be null) receives per-tenant observability slots.
-  [[nodiscard]] SchedulerReport run_concurrent(std::vector<SchedulerJob> jobs,
-                                               const SchedulerPolicy& policy,
-                                               obs::ObsCollector* collector = nullptr);
 
   [[nodiscard]] BitsPerSecond reference_rate() const noexcept { return reference_rate_; }
 
@@ -136,26 +131,6 @@ class TransferService {
   /// the service runs each job once and merely reports failures honestly.
   void set_supervisor(SupervisorPolicy policy) { supervisor_ = policy; }
 
-  /// Stream the concurrent scheduler's trace incrementally (drained every
-  /// master tick, finish()ed at run end) instead of one-shot at exit. The
-  /// writer must outlive run_concurrent(). See Scheduler::set_stream.
-  void set_stream(obs::StreamingTraceWriter* stream) noexcept { stream_ = stream; }
-
-  /// Serve GET /metrics (OpenMetrics exposition of the collector's registry)
-  /// and GET /healthz on 127.0.0.1:`port` for the duration of
-  /// run_concurrent(). 0 binds an ephemeral port; negative (the default)
-  /// disables the listener. Requires a collector on run_concurrent() — there
-  /// is no registry to scrape otherwise. A bind failure is reported on
-  /// stderr and the run proceeds unscraped rather than dying.
-  void set_metrics_listen(int port) noexcept { metrics_listen_ = port; }
-
-  /// Forwarded to the concurrent scheduler (see exp::Scheduler for the
-  /// determinism and lifetime contracts): the sim-time telemetry sampler,
-  /// the last-K-ticks flight recorder, and the wall-clock tick profiler.
-  void set_telemetry(obs::TelemetryHub* hub) noexcept { telemetry_ = hub; }
-  void set_flight_recorder(obs::TickFlightRecorder* rec) noexcept { flightrec_ = rec; }
-  void set_tick_profiler(obs::TickProfiler* profiler) noexcept { profiler_ = profiler; }
-
  private:
   [[nodiscard]] JobOutcome run_job(const TransferJob& job) const;
 
@@ -166,11 +141,6 @@ class TransferService {
   Seconds queue_start_time_ = 0.0;
   proto::FaultPlan faults_;
   std::optional<SupervisorPolicy> supervisor_;
-  obs::StreamingTraceWriter* stream_ = nullptr;
-  obs::TelemetryHub* telemetry_ = nullptr;
-  obs::TickFlightRecorder* flightrec_ = nullptr;
-  obs::TickProfiler* profiler_ = nullptr;
-  int metrics_listen_ = -1;  ///< negative = no scrape listener
 };
 
 }  // namespace eadt::exp

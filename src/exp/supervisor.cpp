@@ -413,8 +413,8 @@ JobOutcome Supervisor::run(const TransferJob& job) const {
   if (job.policy == JobPolicy::kSla) {
     const BitsPerSecond target = reference_rate_ * job.sla_percent / 100.0;
     // Scored on the original promise even if the ladder fell back; an
-    // incomplete transfer never met its SLA. 0.93 is the paper's ~7 % band.
-    out.sla_met = !out.failed && out.result.avg_throughput() >= target * 0.93;
+    // incomplete transfer never met its SLA.
+    out.sla_met = !out.failed && meets_sla(out.result.avg_throughput(), target);
   } else {
     out.sla_met = !out.failed;
   }

@@ -44,9 +44,6 @@ class PathSet {
 
   void add(PathOption option) { options_.push_back(std::move(option)); }
 
-  /// Index of the option with the given name, or -1.
-  [[nodiscard]] int index_of(const std::string& name) const noexcept;
-
  private:
   std::vector<PathOption> options_;
 };

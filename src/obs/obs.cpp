@@ -18,14 +18,6 @@ ObsSinks* ObsCollector::slot(std::size_t index, std::string label) {
   return &it->second->sinks;
 }
 
-bool ObsCollector::has_decisions() const {
-  std::lock_guard lock(mu_);
-  for (const auto& [index, s] : slots_) {
-    if (!s->decisions.empty()) return true;
-  }
-  return false;
-}
-
 void ObsCollector::write_chrome_trace(std::ostream& os) const {
   std::vector<TraceProcess> processes;
   {

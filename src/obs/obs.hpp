@@ -51,9 +51,6 @@ class ObsCollector {
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// Any decision recorded in any slot?
-  [[nodiscard]] bool has_decisions() const;
-
   void write_metrics_json(std::ostream& os) const { metrics_.write_json(os); }
   /// All slots merged, one trace process per slot, in slot order.
   void write_chrome_trace(std::ostream& os) const;

@@ -115,11 +115,6 @@ void TraceBuffer::counter(Seconds t, const char* name, double value) {
         {TraceArg{"value", value}, TraceArg{}, TraceArg{}}});
 }
 
-void TraceBuffer::drain(std::vector<TraceEvent>& out) {
-  out.insert(out.end(), events_.begin(), events_.end());
-  events_.clear();
-}
-
 void write_chrome_trace(std::ostream& os, const std::vector<TraceProcess>& processes) {
   os << "{\n  \"traceEvents\": [";
   bool first = true;
@@ -141,42 +136,6 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceProcess>& proce
     }
   }
   os << (first ? "]" : "\n  ]") << ",\n  \"displayTimeUnit\": \"ms\"\n}\n";
-}
-
-StreamingTraceWriter::StreamingTraceWriter(std::ostream& os, TraceBuffer& buffer,
-                                           std::string process_label)
-    : os_(os), buffer_(buffer) {
-  os_ << "{\n  \"traceEvents\": [";
-  write_metadata(os_, first_, "process_name", /*pid=*/1, 0, process_label);
-}
-
-StreamingTraceWriter::~StreamingTraceWriter() { finish(); }
-
-void StreamingTraceWriter::flush() {
-  if (finished_) return;
-  // Track labels may appear at any point (a resumed session re-labels its
-  // lanes); emit whichever are new before their events reference them.
-  for (const auto& [tid, name] : buffer_.thread_names()) {
-    if (named_tracks_.insert(tid).second) {
-      write_metadata(os_, first_, "thread_name", /*pid=*/1, tid, name);
-    }
-  }
-  scratch_.clear();
-  buffer_.drain(scratch_);
-  for (const auto& e : scratch_) {
-    last_t_ = e.t;
-    write_one_event(os_, first_, /*pid=*/1, e);
-  }
-}
-
-void StreamingTraceWriter::finish() {
-  if (finished_) return;
-  flush();
-  if (buffer_.dropped() > 0) {
-    write_truncation_marker(os_, first_, /*pid=*/1, last_t_, buffer_.dropped());
-  }
-  finished_ = true;
-  os_ << (first_ ? "]" : "\n  ]") << ",\n  \"displayTimeUnit\": \"ms\"\n}\n";
 }
 
 }  // namespace eadt::obs

@@ -84,12 +84,6 @@ class TraceBuffer {
   /// Perfetto counter track (one per name, process-wide).
   void counter(Seconds t, const char* name, double value);
 
-  /// Move everything recorded so far to the back of `out` and clear the
-  /// buffer; interned names, track labels and the drop count stay. Draining
-  /// resets the capacity check, so a buffer that is drained regularly (the
-  /// streaming writer below) records indefinitely without ever dropping.
-  void drain(std::vector<TraceEvent>& out);
-
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept { return events_; }
   [[nodiscard]] const std::map<int, const char*>& thread_names() const noexcept {
     return thread_names_;
@@ -116,38 +110,5 @@ struct TraceProcess {
 /// loadable in Perfetto and chrome://tracing. Each TraceProcess becomes pid
 /// `index + 1` with its label as the process name.
 void write_chrome_trace(std::ostream& os, const std::vector<TraceProcess>& processes);
-
-/// Incremental exporter for one long-running buffer: flush() drains whatever
-/// the buffer holds and appends it to the stream, finish() (or the
-/// destructor) closes the JSON envelope. Because every flush empties the
-/// buffer, a run streamed at any cadence records indefinitely — the buffer's
-/// event cap only bounds the span *between* flushes, not the run. The output
-/// is byte-identical to a one-shot write_chrome_trace() of the same events
-/// when the track labels were set before the first flush (sessions label
-/// their tracks at begin(), so this is the normal case).
-class StreamingTraceWriter {
- public:
-  /// Starts the envelope immediately; `os` must outlive finish().
-  StreamingTraceWriter(std::ostream& os, TraceBuffer& buffer, std::string process_label);
-  ~StreamingTraceWriter();
-  StreamingTraceWriter(const StreamingTraceWriter&) = delete;
-  StreamingTraceWriter& operator=(const StreamingTraceWriter&) = delete;
-
-  /// Drain the buffer and serialize everything it held. Cheap when empty.
-  void flush();
-
-  /// Final flush, a `trace-truncated` marker if the buffer overflowed
-  /// between flushes, and the closing braces. Idempotent.
-  void finish();
-
- private:
-  std::ostream& os_;
-  TraceBuffer& buffer_;
-  bool first_ = true;
-  bool finished_ = false;
-  std::set<int> named_tracks_;  ///< thread_name metadata already emitted
-  Seconds last_t_ = 0.0;
-  std::vector<TraceEvent> scratch_;
-};
 
 }  // namespace eadt::obs

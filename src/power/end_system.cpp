@@ -9,20 +9,4 @@ Watts fine_grained_power(const PowerCoefficients& c, int active_cores,
   return c.active_base + c_cpu * u.cpu + c.mem * u.mem + c.disk * u.disk + c.nic * u.nic;
 }
 
-Watts cpu_only_power(const PowerCoefficients& c, int active_cores,
-                     double cpu_utilization, double full_system_factor) {
-  if (active_cores <= 0) return 0.0;
-  const double c_cpu = cpu_coefficient(active_cores) * c.cpu_scale;
-  return c.active_base + c_cpu * std::clamp(cpu_utilization, 0.0, 1.0) * full_system_factor;
-}
-
-Watts tdp_scaled_power(const PowerCoefficients& local_coeffs, Watts local_tdp,
-                       Watts remote_tdp, int active_cores, double cpu_utilization,
-                       double full_system_factor) {
-  if (local_tdp <= 0.0) return 0.0;
-  const Watts local = cpu_only_power(local_coeffs, active_cores, cpu_utilization,
-                                     full_system_factor);
-  return local * (remote_tdp / local_tdp);
-}
-
 }  // namespace eadt::power

@@ -3,17 +3,15 @@
 //   Fine-grained (Eq. 1):  P_t = C_cpu,n*u_cpu + C_mem*u_mem
 //                                + C_disk*u_disk + C_nic*u_nic
 //   CPU coefficient (Eq. 2): C_cpu,n = 0.011 n^2 - 0.082 n + 0.344
-//   CPU-only:               P_t = C_cpu,n * u_cpu  (scaled to approximate the
-//                                 full system; ~90 % correlated per the paper)
-//   TDP-scaled (Eq. 3):     P_t = CPU-only(local) * TDP_remote / TDP_local
+//
+// The CPU-only model and its TDP-scaled extension (Eq. 3) are fitted by the
+// model-building regression and live on power::CalibrationResult.
 //
 // Eq. 2 is dimensionless in the paper (regression against their Intel server);
 // we keep the polynomial exactly and multiply by a machine-specific scale in
 // watts. Its minimum near n = 3.7 is what produces the paper's "energy per
 // core decreases until 4 active cores" parabola on 4-core DTNs.
 #pragma once
-
-#include <algorithm>
 
 #include "host/server.hpp"
 #include "util/units.hpp"
@@ -44,20 +42,6 @@ struct PowerCoefficients {
 /// Eq. 1 + Eq. 2 + activation base.
 [[nodiscard]] Watts fine_grained_power(const PowerCoefficients& c, int active_cores,
                                        const host::Utilization& u);
-
-/// CPU-only model; `full_system_factor` is the regression-derived ratio that
-/// stretches the CPU term to approximate the whole system (the paper reports
-/// ~89.7 % correlation between CPU utilization and total power).
-[[nodiscard]] Watts cpu_only_power(const PowerCoefficients& c, int active_cores,
-                                   double cpu_utilization,
-                                   double full_system_factor = 1.35);
-
-/// Eq. 3: extend a CPU-only model built on `local` to a `remote` machine by
-/// the ratio of CPU TDP values.
-[[nodiscard]] Watts tdp_scaled_power(const PowerCoefficients& local_coeffs,
-                                     Watts local_tdp, Watts remote_tdp,
-                                     int active_cores, double cpu_utilization,
-                                     double full_system_factor = 1.35);
 
 /// Trapezoid-free energy integrator (power is piecewise constant per tick).
 class EnergyAccumulator {

@@ -1200,27 +1200,6 @@ bool TransferSession::advance_commit() {
 
   if (obs_ != nullptr) obs_tick(tick_energy, dt);
 
-  if (observer_ != nullptr) {
-    TickTrace trace;
-    // Absolute transfer time: an observer re-attached on a resumed leg sees
-    // the clock continue where the interrupted run stopped, matching the
-    // sample windows (regression-tested in test_obs.cpp).
-    trace.time = abs_now();
-    trace.end_system_power = tick_energy / dt;
-    trace.open_channels = static_cast<int>(channels_.size());
-    trace.path_capacity_factor = path_factor_;
-    Bytes moved = 0;
-    trace.channels.reserve(channels_.size());
-    for (const auto& ch : channels_) {
-      trace.channels.push_back({ch.chunk, ch.parallelism, ch.busy, ch.rate,
-                                ch.moved_this_tick, ch.down});
-      moved += ch.moved_this_tick;
-      trace.down_channels += ch.down ? 1 : 0;
-    }
-    trace.goodput = to_bits(moved) / dt;
-    observer_->on_tick(trace);
-  }
-
   // The ticker first fires at t = dt, so the firing at time t covers the
   // slice [t - dt, t]: "now" is the end of the slice just processed.
   const Seconds t_end = sim_.now();

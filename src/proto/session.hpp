@@ -32,7 +32,6 @@
 #include "proto/checkpoint.hpp"
 #include "proto/environment.hpp"
 #include "proto/faults.hpp"
-#include "proto/observer.hpp"
 #include "proto/plan.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
@@ -189,10 +188,10 @@ class TransferSession : private FaultHost {
   /// Tick phase 3b — checkpoint emission, observability, sampling windows
   /// and controller callbacks for the tick that advance_compute() just
   /// produced. Reads the shared Simulation's clock and writes this session,
-  /// its controller, its obs sinks and, when set, the checkpoint sink and
-  /// observer. Disjoint sessions may therefore commit concurrently when none
-  /// has a checkpoint sink or observer and no two share a trace or decision
-  /// log (exp::Scheduler's sharded commit, MODEL.md §16). Returns false once
+  /// its controller, its obs sinks and, when set, the checkpoint sink.
+  /// Disjoint sessions may therefore commit concurrently when none has a
+  /// checkpoint sink and no two share a trace or decision log
+  /// (exp::Scheduler's sharded commit, MODEL.md §16). Returns false once
   /// every queue is drained.
   [[nodiscard]] bool advance_commit();
   /// Close the books at raw simulation clock `end_raw` and build the result
@@ -213,10 +212,6 @@ class TransferSession : private FaultHost {
   }
   [[nodiscard]] Bytes dataset_bytes() const noexcept { return total_bytes_; }
   [[nodiscard]] const Environment& environment() const noexcept { return env_; }
-
-  /// Attach a passive tick-level observer (may be null to detach). The
-  /// observer must outlive run().
-  void set_observer(SessionObserver* observer) noexcept { observer_ = observer; }
 
   // --- checkpoint / resume ----------------------------------------------
 
@@ -398,7 +393,6 @@ class TransferSession : private FaultHost {
   std::unique_ptr<ObsState> obs_;  ///< built by run() iff sinks are attached
   Rng jitter_rng_{1};  // reseeded from env.jitter_seed in the constructor
   Controller* controller_ = nullptr;
-  SessionObserver* observer_ = nullptr;
   // --- checkpoint / resume state -----------------------------------------
   std::uint64_t dataset_fingerprint_ = 0;
   /// Absolute transfer time already consumed by the legs this session resumed

@@ -79,6 +79,37 @@ TEST(Calibrator, ErrorRatesMatchPaperBands) {
   }
 }
 
+TEST(CpuOnly, TracksCpuUtilization) {
+  auto server = intel_like();
+  const auto cal = calibrate(server, Rng(9));
+  Watts previous = cal.cpu_only_predict(4, 0.0);
+  for (const double u : {0.2, 0.5, 0.9, 1.0}) {
+    const Watts p = cal.cpu_only_predict(4, u);
+    EXPECT_GT(p, previous) << u;
+    previous = p;
+  }
+}
+
+TEST(CpuOnly, FullSystemFactorStretches) {
+  CalibrationResult cal;
+  cal.cpu_only_base = 12.0;
+  cal.cpu_only_factor = 1.0;
+  const Watts f1 = cal.cpu_only_predict(4, 0.5);
+  cal.cpu_only_factor = 2.0;
+  const Watts f2 = cal.cpu_only_predict(4, 0.5);
+  EXPECT_NEAR(f2 - cal.cpu_only_base, 2.0 * (f1 - cal.cpu_only_base), 1e-9);
+}
+
+TEST(TdpScaled, Eq3RatioOfTdps) {
+  auto server = intel_like();
+  const auto cal = calibrate(server, Rng(10));
+  // Intel E5 local at 115 W, AMD remote at 230 W: remote predicts 2x CPU-only.
+  const Watts local = cal.cpu_only_predict(4, 0.6);
+  EXPECT_NEAR(cal.tdp_extended_predict(115.0, 230.0, 4, 0.6), local * 2.0, 1e-9);
+  EXPECT_DOUBLE_EQ(cal.tdp_extended_predict(115.0, 115.0, 4, 0.6), local);
+  EXPECT_DOUBLE_EQ(cal.tdp_extended_predict(0.0, 230.0, 4, 0.6), 0.0);
+}
+
 TEST(Calibrator, MeasurementIsNoisyButUnbiased) {
   auto server = intel_like(0.0, 0.05);
   const host::Utilization u{0.5, 0.3, 0.4, 0.4};

@@ -48,33 +48,6 @@ TEST(FineGrained, MonotoneInEachComponent) {
   }
 }
 
-TEST(CpuOnly, TracksCpuUtilization) {
-  PowerCoefficients c;
-  const Watts low = cpu_only_power(c, 4, 0.2);
-  const Watts high = cpu_only_power(c, 4, 0.9);
-  EXPECT_GT(high, low);
-  EXPECT_DOUBLE_EQ(cpu_only_power(c, 0, 0.5), 0.0);
-  // Utilization clamps.
-  EXPECT_DOUBLE_EQ(cpu_only_power(c, 4, 1.5), cpu_only_power(c, 4, 1.0));
-}
-
-TEST(CpuOnly, FullSystemFactorStretches) {
-  PowerCoefficients c;
-  const Watts f1 = cpu_only_power(c, 4, 0.5, 1.0);
-  const Watts f2 = cpu_only_power(c, 4, 0.5, 2.0);
-  EXPECT_GT(f2, f1);
-  EXPECT_NEAR(f2 - c.active_base, 2.0 * (f1 - c.active_base), 1e-9);
-}
-
-TEST(TdpScaled, Eq3RatioOfTdps) {
-  PowerCoefficients c;
-  // Intel E5 local at 115 W, AMD remote at 230 W: remote predicts 2x CPU-only.
-  const Watts local = cpu_only_power(c, 4, 0.6);
-  const Watts remote = tdp_scaled_power(c, 115.0, 230.0, 4, 0.6);
-  EXPECT_NEAR(remote, local * 2.0, 1e-9);
-  EXPECT_DOUBLE_EQ(tdp_scaled_power(c, 0.0, 230.0, 4, 0.6), 0.0);
-}
-
 TEST(EnergyAccumulator, IntegratesPiecewiseConstantPower) {
   EnergyAccumulator acc;
   acc.add(100.0, 2.0);

@@ -7,29 +7,6 @@
 namespace eadt::exp {
 namespace {
 
-proto::RunResult fake_result() {
-  proto::RunResult r;
-  r.duration = 10.0;
-  r.bytes = 1'000'000'000;  // 800 Mbps over 10 s
-  r.end_system_energy = 500.0;
-  r.network_energy = 12.0;
-  r.completed = true;
-  proto::SampleStats s1;
-  s1.window_start = 0.0;
-  s1.window_end = 5.0;
-  s1.bytes = 600'000'000;
-  s1.end_system_energy = 300.0;
-  s1.active_channels = 4;
-  proto::SampleStats s2 = s1;
-  s2.window_start = 5.0;
-  s2.window_end = 10.0;
-  s2.bytes = 400'000'000;
-  s2.end_system_energy = 200.0;
-  s2.active_channels = 2;
-  r.samples = {s1, s2};
-  return r;
-}
-
 SweepTable fake_sweep() {
   SweepTable sweep;
   sweep.levels = {1, 2};
@@ -45,19 +22,6 @@ SweepTable fake_sweep() {
     }
   }
   return sweep;
-}
-
-TEST(Report, SamplesCsvShape) {
-  std::ostringstream os;
-  write_samples_csv(os, fake_result());
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("t_start_s,t_end_s,throughput_mbps,energy_j,active_channels"),
-            std::string::npos);
-  // 600 MB over 5 s = 960 Mbps.
-  EXPECT_NE(csv.find("0.00,5.00,960.0,300.00,4"), std::string::npos);
-  EXPECT_NE(csv.find("5.00,10.00,640.0,200.00,2"), std::string::npos);
-  // Header + 2 rows.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
 }
 
 TEST(Report, SweepCsvShape) {
@@ -92,17 +56,6 @@ TEST(Report, GnuplotScriptReferencesAllSeries) {
   EXPECT_NE(script.find("using 1:2"), std::string::npos);
   EXPECT_NE(script.find("using 1:3"), std::string::npos);
   EXPECT_NE(script.find("'sweep.csv'"), std::string::npos);
-}
-
-TEST(Report, SummarizeReadsWell) {
-  const std::string s = summarize(fake_result());
-  EXPECT_NE(s.find("Mbps"), std::string::npos);
-  EXPECT_NE(s.find("kJ end-system"), std::string::npos);
-  EXPECT_EQ(s.find("INCOMPLETE"), std::string::npos);
-
-  auto r = fake_result();
-  r.completed = false;
-  EXPECT_NE(summarize(r).find("INCOMPLETE"), std::string::npos);
 }
 
 }  // namespace

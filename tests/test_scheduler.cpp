@@ -205,6 +205,9 @@ TEST(Scheduler, InteractiveArrivalPreemptsAScavengerWhichResumesAndLosesNothing)
   // The urgent job ran while the scavenger was parked: it finished before
   // the scavenger did.
   EXPECT_LT(urgent.finished_at, bg.finished_at);
+  // Each completion is booked under its job's SLA class.
+  EXPECT_EQ(report.interactive.completed, 1);
+  EXPECT_EQ(report.scavenger.completed, 1);
   EXPECT_TRUE(report.accounting_consistent());
 }
 
@@ -251,18 +254,13 @@ TEST(Scheduler, SiteBrownoutSlowsEveryTenant) {
   EXPECT_GT(report.jobs[0].result.duration, clean_t * 1.5);
 }
 
-TEST(Scheduler, ServiceFacadeRunsConcurrentJobs) {
-  TransferService service(tiny_xsede(), gbps(7.0), fast_cfg());
-  SchedulerPolicy policy;
-  policy.max_concurrent = 2;
-  std::vector<SchedulerJob> jobs;
-  jobs.push_back({{"a", job_dataset(50 * kMB, 4), JobPolicy::kBalanced, 0, 0, 4}, 0.0});
-  jobs.push_back({{"b", job_dataset(50 * kMB, 4), JobPolicy::kGreen, 0, 0, 4}, 0.0});
-  const auto report = service.run_concurrent(std::move(jobs), policy);
-  EXPECT_EQ(report.completed, 2);
-  EXPECT_EQ(report.standard.completed, 1);
-  EXPECT_EQ(report.scavenger.completed, 1);
-  EXPECT_TRUE(report.accounting_consistent());
+TEST(Scheduler, ProbesTheSameReferenceRateAsTheService) {
+  // A zero reference rate makes both measure the site's ProMC best case.
+  const auto tb = tiny_xsede();
+  const Scheduler scheduler(tb, 0.0, SchedulerPolicy{}, fast_cfg());
+  const TransferService service(tb, 0.0, fast_cfg());
+  EXPECT_GT(scheduler.reference_rate(), 0.0);
+  EXPECT_EQ(scheduler.reference_rate(), service.reference_rate());
 }
 
 }  // namespace
