@@ -57,6 +57,25 @@ BitsPerSecond fair_share_reference_into(BitsPerSecond capacity,
   return std::accumulate(allocation.begin(), allocation.end(), 0.0);
 }
 
+RoundOneVerdict unit_fill_round_one(BitsPerSecond capacity,
+                                    std::span<const Demand> demands) noexcept {
+  // Mirrors the reference's first round with every weight 1.0: the active
+  // set is the positive caps, its weight sum is exactly k, and each active
+  // flow's headroom is its cap (nothing is allocated yet).
+  std::size_t k = 0;
+  for (const Demand& d : demands) k += d.cap > 0.0 ? 1 : 0;
+  if (k == 0) return {RoundOneVerdict::Kind::kAllCapped, 0.0};
+  // The reference fills nothing unless capacity clears its 1e-9 floor (a
+  // NaN capacity included), and min(cap, 0) is 0 for every positive cap.
+  if (!(capacity > 1e-9)) return {RoundOneVerdict::Kind::kAllShared, 0.0};
+  const BitsPerSecond share = capacity / static_cast<double>(k);
+  std::size_t capped = 0;
+  for (const Demand& d : demands) capped += d.cap > 0.0 && d.cap <= share ? 1 : 0;
+  if (capped == k) return {RoundOneVerdict::Kind::kAllCapped, 0.0};
+  if (capped == 0) return {RoundOneVerdict::Kind::kAllShared, share};
+  return {RoundOneVerdict::Kind::kMixed, 0.0};
+}
+
 BitsPerSecond fair_share_into(BitsPerSecond capacity, std::span<const Demand> demands,
                               std::vector<BitsPerSecond>& allocation,
                               FairShareScratch& scratch) {

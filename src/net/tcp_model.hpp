@@ -55,15 +55,18 @@ struct CongestionSpec {
   return std::min(window_limit, path.bandwidth);
 }
 
+/// Initial congestion window a cold connection ramps from.
+inline constexpr Bytes kInitialWindow = 64 * kKB;
+
 /// Extra latency a *cold* connection pays ramping its congestion window for a
 /// file of `file_size` (doublings from the initial window, one RTT each).
 /// Warm (pipelined, back-to-back) channels skip this — that is precisely the
 /// "keeps the transfer channel active" benefit the paper ascribes to
 /// pipelining. `warm_fraction` models data-channel caching: GridFTP reuses
-/// data connections, so even "cold" files keep part of the window.
+/// data connections, so even "cold" files keep part of the window. Every
+/// file of at least max(BDP, kInitialWindow) ramps to that same target.
 [[nodiscard]] inline Seconds slow_start_penalty(const PathSpec& path, Bytes file_size,
                                                 double warm_fraction = 0.5) {
-  constexpr Bytes kInitialWindow = 64 * kKB;
   if (path.rtt <= 0.0 || file_size <= kInitialWindow) return 0.0;
   const Bytes target = std::min(file_size, std::max<Bytes>(path.bdp(), kInitialWindow));
   const double doublings = std::log2(static_cast<double>(target) /

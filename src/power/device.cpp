@@ -55,14 +55,18 @@ Joules per_packet_energy(net::DeviceKind kind, Bytes packet_bytes) {
          c.psf_pj_per_byte * 1e-12 * static_cast<double>(packet_bytes);
 }
 
-Joules route_transfer_energy(const net::Route& route, Bytes bytes, Bytes mtu) {
-  if (bytes == 0 || mtu == 0) return 0.0;
-  const double packets = std::ceil(static_cast<double>(bytes) / static_cast<double>(mtu));
+Joules route_packet_energy(const net::Route& route, Bytes mtu) {
   Joules per_packet_chain = 0.0;
   for (const auto& dev : route.devices()) {
     per_packet_chain += per_packet_energy(dev.kind, mtu);
   }
-  return packets * per_packet_chain;
+  return per_packet_chain;
+}
+
+Joules route_transfer_energy(const net::Route& route, Bytes bytes, Bytes mtu) {
+  if (bytes == 0 || mtu == 0) return 0.0;
+  const double packets = std::ceil(static_cast<double>(bytes) / static_cast<double>(mtu));
+  return packets * route_packet_energy(route, mtu);
 }
 
 std::vector<DeviceKindEnergy> route_transfer_energy_by_kind(const net::Route& route,

@@ -85,9 +85,16 @@ struct PerPacketCoefficients {
 /// Load-dependent energy of one packet of `packet_bytes` through `kind`.
 [[nodiscard]] Joules per_packet_energy(net::DeviceKind kind, Bytes packet_bytes);
 
+/// Load-dependent energy of one `mtu`-byte packet through every device of
+/// `route` (Eq. 5's per-packet term summed over the chain, in route order).
+/// A function of the route and MTU only, so a transfer over a fixed route
+/// can compute it once.
+[[nodiscard]] Joules route_packet_energy(const net::Route& route, Bytes mtu);
+
 /// Load-dependent network energy of pushing `bytes` across `route` with the
 /// given MTU (Eq. 5 summed over the device chain; idle power excluded, as in
-/// the paper's Figure 10 which considers only the load-dependent part).
+/// the paper's Figure 10 which considers only the load-dependent part):
+/// the packet count times route_packet_energy().
 [[nodiscard]] Joules route_transfer_energy(const net::Route& route, Bytes bytes, Bytes mtu);
 
 /// Same, broken down by device kind (one entry per kind present, summed over

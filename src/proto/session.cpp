@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "net/fair_share.hpp"
 #include "obs/obs.hpp"
@@ -71,6 +72,9 @@ TransferSession::TransferSession(sim::Simulation* external, const Environment& e
     : env_(env), plan_(std::move(plan)), config_(config),
       owned_sim_(external != nullptr ? nullptr : std::make_unique<sim::Simulation>()),
       sim_(external != nullptr ? *external : *owned_sim_),
+      ramp_target_(std::max<Bytes>(env.path.bdp(), net::kInitialWindow)),
+      full_ramp_(net::slow_start_penalty(env.path, ramp_target_, 0.0)),
+      route_packet_energy_(power::route_packet_energy(env.route, env.path.mtu)),
       jitter_rng_(env.jitter_seed),
       dataset_fingerprint_(proto::dataset_fingerprint(dataset)) {
   queues_.resize(plan_.chunks.size());
@@ -187,6 +191,41 @@ bool TransferSession::resume_from(const TransferCheckpoint& checkpoint,
   if (checkpoint.source_servers.size() != src_energy_.size() ||
       checkpoint.destination_servers.size() != dst_energy_.size()) {
     return fail("checkpoint server ledgers do not match this environment");
+  }
+  // A journal is input read back from disk: refuse one no session could have
+  // written. Counts are never negative; times and energies are finite and
+  // never negative.
+  const FaultStats& f = checkpoint.faults;
+  const std::pair<const char*, std::int64_t> counts[] = {
+      {"quarantined", checkpoint.quarantined_channels},
+      {"faults.retries", f.retries},
+      {"faults.channel_drops", f.channel_drops},
+      {"faults.checksum_failures", f.checksum_failures},
+      {"faults.server_outages", f.server_outages},
+      {"faults.quarantined_channels", f.quarantined_channels},
+  };
+  for (const auto& [name, n] : counts) {
+    if (n < 0) return fail(std::string("checkpoint ") + name + " is negative");
+  }
+  const auto valid = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  const std::pair<const char*, double> amounts[] = {
+      {"taken_at", checkpoint.taken_at},
+      {"end_system_energy", checkpoint.end_system_energy},
+      {"network_energy", checkpoint.network_energy},
+      {"faults.wasted_joules", f.wasted_joules},
+      {"faults.channel_downtime", f.channel_downtime},
+      {"faults.server_downtime", f.server_downtime},
+  };
+  for (const auto& [name, v] : amounts) {
+    if (!valid(v)) return fail(std::string("checkpoint ") + name + " is negative or not finite");
+  }
+  for (const auto* ledger : {&checkpoint.source_servers, &checkpoint.destination_servers}) {
+    for (const auto& s : *ledger) {
+      if (!valid(s.joules) || !valid(s.active_time)) {
+        return fail("checkpoint ledger of server " + s.name +
+                    " is negative or not finite");
+      }
+    }
   }
 
   std::unordered_set<std::uint32_t> completed(checkpoint.completed.begin(),
@@ -878,11 +917,25 @@ Seconds TransferSession::per_file_overhead(const Channel& ch, Bytes size,
   const double warm = cold ? 0.0 : (ch.pipelining > 1 ? 1.0 : env_.warm_fraction);
   Seconds overhead = env_.per_file_cost + plan_.service_overhead_per_file +
                      net::control_gap_per_file(env_.path, ch.pipelining) +
-                     net::slow_start_penalty(env_.path, size, warm);
+                     slow_start(size, warm);
   if (plan_.checksum_rate > 0.0) {
     overhead += to_bits(size) / plan_.checksum_rate;  // post-landing verify pass
   }
   return overhead;
+}
+
+Seconds TransferSession::slow_start(Bytes size, double warm) const {
+  // On a path with an RTT, slow_start_penalty is
+  // rtt * max(0, log2(target / IW)) * (1 - clamp(warm)), multiplied left to
+  // right. Its first product is finite and non-negative, so a fully warm
+  // window makes the whole term exactly +0.0. Every file at or past
+  // ramp_target_ shares that first product: full_ramp_ is it times
+  // (1 - 0) = 1.0, which is exact.
+  if (env_.path.rtt > 0.0) {
+    if (warm >= 1.0) return 0.0;
+    if (size >= ramp_target_) return full_ramp_ * (1.0 - std::clamp(warm, 0.0, 1.0));
+  }
+  return net::slow_start_penalty(env_.path, size, warm);
 }
 
 void TransferSession::collect_link_demands() {
@@ -909,26 +962,37 @@ void TransferSession::collect_link_demands() {
     dst_threads[ch.dst_server] += ch.parallelism;
   }
 
-  // Per-channel caps before disk: TCP windows and CPU shares on both ends.
+  // Per-channel caps before disk: TCP windows, CPU shares and per-stream
+  // storage on both ends. With this tick's per-server counts fixed, the cap
+  // is a function of (source server, destination server, parallelism) only.
+  // Packed placement and per-chunk parallelism make consecutive busy
+  // channels share that key, so the last value computed is reused.
   auto& caps = scratch_.caps;
   auto& duty = scratch_.duty;
   caps.assign(channels_.size(), 0.0);
   duty.assign(channels_.size(), 1.0);
   int total_streams = 0;
+  const Channel* cap_key = nullptr;
+  BitsPerSecond key_cap = 0.0;
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     auto& ch = channels_[i];
     ch.rate = 0.0;
     ch.moved_this_tick = 0;
     if (!ch.busy) continue;
-    const auto& src = env_.source.servers[ch.src_server];
-    const auto& dst = env_.destination.servers[ch.dst_server];
-    const BitsPerSecond cpu_src = host::channel_cpu_cap(
-        src, src_procs[ch.src_server], src_threads[ch.src_server], ch.parallelism);
-    const BitsPerSecond cpu_dst = host::channel_cpu_cap(
-        dst, dst_procs[ch.dst_server], dst_threads[ch.dst_server], ch.parallelism);
-    caps[i] = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu_src,
-                        cpu_dst, host::channel_stream_cap(src, ch.parallelism),
-                        host::channel_stream_cap(dst, ch.parallelism)});
+    if (cap_key == nullptr || ch.src_server != cap_key->src_server ||
+        ch.dst_server != cap_key->dst_server || ch.parallelism != cap_key->parallelism) {
+      const auto& src = env_.source.servers[ch.src_server];
+      const auto& dst = env_.destination.servers[ch.dst_server];
+      const BitsPerSecond cpu_src = host::channel_cpu_cap(
+          src, src_procs[ch.src_server], src_threads[ch.src_server], ch.parallelism);
+      const BitsPerSecond cpu_dst = host::channel_cpu_cap(
+          dst, dst_procs[ch.dst_server], dst_threads[ch.dst_server], ch.parallelism);
+      key_cap = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu_src,
+                          cpu_dst, host::channel_stream_cap(src, ch.parallelism),
+                          host::channel_stream_cap(dst, ch.parallelism)});
+      cap_key = &ch;
+    }
+    caps[i] = key_cap;
     total_streams += ch.parallelism;
 
     // Duty cycle: the fraction of time this channel actually streams, given
@@ -946,7 +1010,9 @@ void TransferSession::collect_link_demands() {
   // Disk pools are work-conserving: each server's aggregate disk bandwidth is
   // shared max-min across its channels, so a channel stalling on per-file
   // overheads donates its slack to streaming channels (this is what lets a
-  // multi-chunk schedule beat sequential phases).
+  // multi-chunk schedule beat sequential phases). Most pools are settled by
+  // the fill's first round — every channel under its equal share, or every
+  // channel over it — and skip the fill (net::unit_fill_round_one).
   auto apply_disk_pool = [&](const std::vector<host::ServerSpec>& servers,
                              bool source_side, const std::vector<int>& procs) {
     for (std::size_t s = 0; s < servers.size(); ++s) {
@@ -963,9 +1029,19 @@ void TransferSession::collect_link_demands() {
         d.push_back({caps[i], 1.0});
         idx.push_back(i);
       }
-      net::fair_share_into(pool, d, scratch_.pool_alloc, scratch_.fair_share);
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        caps[idx[k]] = std::min(caps[idx[k]], scratch_.pool_alloc[k]);
+      const net::RoundOneVerdict verdict = net::unit_fill_round_one(pool, d);
+      switch (verdict.kind) {
+        case net::RoundOneVerdict::Kind::kAllCapped:
+          break;  // every channel keeps its cap
+        case net::RoundOneVerdict::Kind::kAllShared:
+          for (const std::size_t i : idx) caps[i] = std::min(caps[i], verdict.share);
+          break;
+        case net::RoundOneVerdict::Kind::kMixed:
+          net::fair_share_into(pool, d, scratch_.pool_alloc, scratch_.fair_share);
+          for (std::size_t k = 0; k < idx.size(); ++k) {
+            caps[idx[k]] = std::min(caps[idx[k]], scratch_.pool_alloc[k]);
+          }
+          break;
       }
     }
   };
@@ -1147,7 +1223,13 @@ Joules TransferSession::account_energy(Seconds dt) {
 
   for (const auto& ch : channels_) tick_bytes += ch.moved_this_tick;
   last_tick_bytes_ = tick_bytes;
-  network_energy_ += power::route_transfer_energy(env_.route, tick_bytes, env_.path.mtu);
+  // power::route_transfer_energy with the per-packet chain held per session.
+  const Bytes mtu = env_.path.mtu;
+  network_energy_ +=
+      tick_bytes == 0 || mtu == 0
+          ? 0.0
+          : std::ceil(static_cast<double>(tick_bytes) / static_cast<double>(mtu)) *
+                route_packet_energy_;
   return tick_energy;
 }
 

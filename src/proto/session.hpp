@@ -231,8 +231,12 @@ class TransferSession : private FaultHost {
   /// wire/energy/fault ledgers and RNG streams, so the resumed run reports
   /// cumulative totals and never re-pays delivered bytes. Call after
   /// set_fault_plan() (which reseeds the RNGs this restores) and before
-  /// run(). Fails (false, *error filled) on a dataset-fingerprint mismatch or
-  /// a server-count mismatch; the session is unusable after a failed resume.
+  /// run(). Fails (false, *error filled) on a dataset-fingerprint mismatch, a
+  /// server-count mismatch, or a journal no session could have written: a
+  /// negative count (quarantined channels, fault counters), or a negative or
+  /// non-finite time or energy (taken_at, the energy and downtime ledgers,
+  /// per-server joules and active time). The session is unusable after a
+  /// failed resume.
   [[nodiscard]] bool resume_from(const TransferCheckpoint& checkpoint,
                                  std::string* error = nullptr);
 
@@ -313,6 +317,9 @@ class TransferSession : private FaultHost {
   /// cost, control-channel gap, congestion-window ramp).
   [[nodiscard]] Seconds per_file_overhead(const Channel& ch, Bytes size,
                                           bool cold) const;
+  /// net::slow_start_penalty(env_.path, size, warm), bit for bit, without its
+  /// log2 where the session constants below already fix the answer.
+  [[nodiscard]] Seconds slow_start(Bytes size, double warm) const;
   bool pop_next_file(Channel& ch);          // false if the queue is empty
   void advance_channels(Seconds dt);
   /// Single-session tick phase 2: collect demands, run the link fair-share
@@ -380,6 +387,15 @@ class TransferSession : private FaultHost {
   /// timeline (always 0.0 for an owned simulation).
   Seconds start_time_ = 0.0;
   RateScratch scratch_;
+  // Per-session constants of the rate and energy pipeline: the environment
+  // is fixed for the session's life, so these are computed once at
+  // construction instead of every tick (MODEL.md §4, §6).
+  /// Files of at least this size all ramp to the same window target.
+  Bytes ramp_target_ = 0;
+  /// slow_start_penalty of such a file on a cold channel (warm fraction 0).
+  Seconds full_ramp_ = 0.0;
+  /// Eq. 5 energy of one MTU-sized packet across the route's device chain.
+  Joules route_packet_energy_ = 0.0;
   // Aggregates of the last collect_link_demands() pass, inputs to the
   // (possibly shared) congestion model.
   double agg_demand_ = 0.0;

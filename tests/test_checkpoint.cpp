@@ -3,7 +3,10 @@
 // the unique bytes an uninterrupted run lands.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "proto/checkpoint.hpp"
 #include "proto/faults.hpp"
@@ -233,6 +236,65 @@ TEST(Checkpoint, ReaderRejectsMalformedInput) {
   {
     std::istringstream garbage("not a journal at all\n");
     EXPECT_FALSE(read_checkpoint(garbage, &err).has_value());
+  }
+
+  // A journal that parses but that no session could have written: resume
+  // refuses it, one field at a time, and names the field. Each case goes
+  // through the text format, whose reader accepts any number.
+  const auto env = small_env(2);
+  const auto ds = mixed_dataset();
+  const auto plan = one_chunk_plan(ds, 3);
+  FaultPlan faults;
+  faults.stochastic.channel_drop_rate = 0.6;
+  faults.seed = 7;
+  const auto aborted = interrupted_run(env, ds, plan, 3.0, faults);
+  ASSERT_TRUE(aborted.checkpoint.has_value());
+  const auto resume = [&](const TransferCheckpoint& c, std::string* why) {
+    std::stringstream journal;
+    write_checkpoint(journal, c);
+    const auto parsed = read_checkpoint(journal, why);
+    EXPECT_TRUE(parsed.has_value()) << *why;
+    if (!parsed) return false;
+    TransferSession s(env, ds, plan, {});
+    s.set_fault_plan(faults);
+    return s.resume_from(*parsed, why);
+  };
+  ASSERT_TRUE(resume(*aborted.checkpoint, &err)) << err;  // well-formed resumes
+
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, void (*)(TransferCheckpoint&)> cases[] = {
+      {"quarantined", [](TransferCheckpoint& c) { c.quarantined_channels = -40; }},
+      {"faults.retries", [](TransferCheckpoint& c) { c.faults.retries = -1; }},
+      {"faults.channel_drops", [](TransferCheckpoint& c) { c.faults.channel_drops = -1; }},
+      {"faults.checksum_failures",
+       [](TransferCheckpoint& c) { c.faults.checksum_failures = -1; }},
+      {"faults.server_outages", [](TransferCheckpoint& c) { c.faults.server_outages = -1; }},
+      {"faults.quarantined_channels",
+       [](TransferCheckpoint& c) { c.faults.quarantined_channels = -1; }},
+      {"taken_at", [](TransferCheckpoint& c) { c.taken_at = kNan; }},
+      {"taken_at", [](TransferCheckpoint& c) { c.taken_at = -1.0; }},
+      {"taken_at", [](TransferCheckpoint& c) { c.taken_at = kInf; }},
+      {"end_system_energy", [](TransferCheckpoint& c) { c.end_system_energy = -16.0; }},
+      {"end_system_energy", [](TransferCheckpoint& c) { c.end_system_energy = kNan; }},
+      {"network_energy", [](TransferCheckpoint& c) { c.network_energy = -1.0; }},
+      {"network_energy", [](TransferCheckpoint& c) { c.network_energy = kInf; }},
+      {"faults.wasted_joules", [](TransferCheckpoint& c) { c.faults.wasted_joules = -1.0; }},
+      {"faults.channel_downtime",
+       [](TransferCheckpoint& c) { c.faults.channel_downtime = kNan; }},
+      {"faults.server_downtime",
+       [](TransferCheckpoint& c) { c.faults.server_downtime = -kInf; }},
+      {"srv", [](TransferCheckpoint& c) { c.source_servers[0].joules = -1024.0; }},
+      {"srv1", [](TransferCheckpoint& c) { c.source_servers[1].active_time = kNan; }},
+      {"srv", [](TransferCheckpoint& c) { c.destination_servers[0].joules = kInf; }},
+      {"srv1", [](TransferCheckpoint& c) { c.destination_servers[1].active_time = -0.0625; }},
+  };
+  for (const auto& [named, corrupt] : cases) {
+    TransferCheckpoint c = *aborted.checkpoint;
+    corrupt(c);
+    std::string why;
+    EXPECT_FALSE(resume(c, &why)) << named;
+    EXPECT_NE(why.find(named), std::string::npos) << why;
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -171,6 +176,125 @@ TEST(FairShare, ScratchReuseIsBitwiseIdentical) {
     }
     ASSERT_EQ(total, reference.total) << "round " << round;
   }
+}
+
+// --- the round-one verdict of a unit-weight fill -------------------------
+//
+// A caller that clamps each cap by its fill allocation (the session's disk
+// pools) may apply unit_fill_round_one's verdict instead of the fill. The
+// contract is checked against the reference, bit for bit, after the clamp.
+
+/// min(cap_i, reference allocation_i) for every flow: what the caller keeps.
+std::vector<double> clamped_by_reference(double capacity, const std::vector<Demand>& d) {
+  FairShareScratch scratch;
+  std::vector<BitsPerSecond> alloc;
+  fair_share_reference_into(capacity, d, alloc, scratch);
+  std::vector<double> out(d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) out[i] = std::min(d[i].cap, alloc[i]);
+  return out;
+}
+
+/// The same, from a settled verdict.
+std::vector<double> clamped_by_verdict(const RoundOneVerdict& v, const std::vector<Demand>& d) {
+  std::vector<double> out(d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    out[i] = v.kind == RoundOneVerdict::Kind::kAllCapped ? d[i].cap : std::min(d[i].cap, v.share);
+  }
+  return out;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Verdict of the fill; for a settled one, assert it reproduces the
+/// reference after the clamp.
+RoundOneVerdict::Kind check_verdict(double capacity, const std::vector<Demand>& d) {
+  const RoundOneVerdict v = unit_fill_round_one(capacity, d);
+  if (v.kind != RoundOneVerdict::Kind::kMixed) {
+    EXPECT_TRUE(bitwise_equal(clamped_by_verdict(v, d), clamped_by_reference(capacity, d)))
+        << "capacity " << capacity << ", " << d.size() << " flows, verdict "
+        << static_cast<int>(v.kind);
+  }
+  return v.kind;
+}
+
+TEST(FairShareRoundOne, SettledVerdictsMatchTheReferenceBitForBit) {
+  Rng rng(20151115);
+  constexpr int kPools = 20000;
+  int hits[3] = {0, 0, 0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int pool = 0; pool < kPools; ++pool) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 24));
+    double capacity = rng.uniform(1e8, 2e10);
+    const double c = rng.uniform01();
+    if (c < 0.02) capacity = 0.0;
+    else if (c < 0.04) capacity = rng.uniform(0.0, 1e-9);
+    else if (c < 0.05) capacity = -rng.uniform(1.0, 1e9);
+    else if (c < 0.055) capacity = nan;
+    else if (c < 0.06) capacity = inf;
+    // Caps under, over or around the equal split, so every verdict occurs.
+    const auto mode = rng.uniform_int(0, 2);
+    const double scale = std::isfinite(capacity) && capacity > 0.0
+                             ? capacity / static_cast<double>(n) : rng.uniform(1e7, 1e9);
+    std::vector<Demand> d;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double r = rng.uniform01();
+      double cap = 0.0;
+      if (r < 0.03) cap = 0.0;
+      else if (r < 0.05) cap = -rng.uniform(1.0, 1e9);
+      else if (r < 0.06) cap = -0.0;
+      else if (r < 0.07) cap = nan;
+      else if (r < 0.08) cap = inf;
+      else if (mode == 0) cap = scale * rng.uniform(0.05, 1.0);
+      else if (mode == 1) cap = scale * rng.uniform(1.0, 8.0);
+      else cap = scale * rng.uniform(0.05, 3.0);
+      d.push_back({cap, 1.0});
+    }
+    ++hits[static_cast<int>(check_verdict(capacity, d))];
+  }
+  EXPECT_GT(hits[static_cast<int>(RoundOneVerdict::Kind::kAllCapped)], kPools / 10);
+  EXPECT_GT(hits[static_cast<int>(RoundOneVerdict::Kind::kAllShared)], kPools / 10);
+  EXPECT_GT(hits[static_cast<int>(RoundOneVerdict::Kind::kMixed)], kPools / 10);
+}
+
+TEST(FairShareRoundOne, EdgeCases) {
+  using K = RoundOneVerdict::Kind;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto pool = [](std::initializer_list<double> caps) {
+    std::vector<Demand> d;
+    for (const double c : caps) d.push_back({c, 1.0});
+    return d;
+  };
+  // A cap exactly at capacity/k is capped: the reference tests headroom <= share.
+  EXPECT_EQ(check_verdict(3e9, pool({1e9, 1e9, 1e9})), K::kAllCapped);
+  EXPECT_EQ(check_verdict(3e9, pool({1e9, 2e9, 2e9})), K::kMixed);
+  EXPECT_EQ(check_verdict(3e9, pool({1e9 + 1.0, 2e9, 2e9})), K::kAllShared);
+  // Caps that are not positive take no part; they keep their value.
+  EXPECT_EQ(check_verdict(2e9, pool({0.0, -5.0, nan, -0.0, 3e9})), K::kAllShared);
+  EXPECT_EQ(check_verdict(2e9, pool({0.0, -5.0, nan, -0.0, 1e9})), K::kAllCapped);
+  EXPECT_EQ(check_verdict(2e9, pool({0.0, -0.0, nan})), K::kAllCapped);
+  // An infinite cap is never under the share; an infinite pool caps everyone.
+  EXPECT_EQ(check_verdict(2e9, pool({inf, inf})), K::kAllShared);
+  EXPECT_EQ(check_verdict(2e9, pool({inf, 1e8})), K::kMixed);
+  EXPECT_EQ(check_verdict(inf, pool({inf, 1e8, 0.0})), K::kAllCapped);
+  // No capacity, or capacity at or under the reference's 1e-9 floor, or NaN:
+  // the reference fills nothing, so every positive cap clamps to zero.
+  for (const double capacity : {0.0, 1e-9, 5e-10, 1e-300, -1.0, nan}) {
+    EXPECT_EQ(check_verdict(capacity, pool({1e9, 1e-12, inf, 0.0, -3.0, nan})),
+              K::kAllShared)
+        << capacity;
+  }
+  // A single flow: under, at and over the pool.
+  EXPECT_EQ(check_verdict(1e9, pool({5e8})), K::kAllCapped);
+  EXPECT_EQ(check_verdict(1e9, pool({1e9})), K::kAllCapped);
+  EXPECT_EQ(check_verdict(1e9, pool({2e9})), K::kAllShared);
+  EXPECT_EQ(unit_fill_round_one(1e9, pool({2e9})).share, 1e9);
+  // No flows at all.
+  EXPECT_EQ(check_verdict(1e9, {}), K::kAllCapped);
 }
 
 }  // namespace
