@@ -45,37 +45,6 @@ TEST(Scheduler, SlaClassMapping) {
   EXPECT_STREQ(to_string(SlaClass::kScavenger), "scavenger");
 }
 
-TEST(Scheduler, SingleTenantMatchesTheSequentialServiceBitForBit) {
-  const auto tb = tiny_xsede();
-  const auto ds = job_dataset(100 * kMB, 10);
-
-  // The sequential path: one job through the single-shot Supervisor.
-  TransferService service(tb, gbps(7.0), fast_cfg());
-  std::vector<TransferJob> seq_jobs;
-  seq_jobs.push_back({"solo", ds, JobPolicy::kBalanced, 0, 0, 6});
-  const auto seq = service.run_queue(seq_jobs).jobs[0];
-
-  // The same job as the only tenant of a Scheduler.
-  SchedulerPolicy policy;
-  Scheduler scheduler(tb, gbps(7.0), policy, fast_cfg());
-  std::vector<SchedulerJob> jobs;
-  jobs.push_back({{"solo", ds, JobPolicy::kBalanced, 0, 0, 6}, 0.0});
-  const auto report = scheduler.run(std::move(jobs));
-
-  ASSERT_EQ(report.jobs.size(), 1u);
-  const auto& out = report.jobs[0];
-  EXPECT_FALSE(out.failed);
-  EXPECT_TRUE(out.result.completed);
-  // Byte-identical engine outcome: the joint arbitration with one tenant
-  // degenerates to exactly the single-session tick pipeline.
-  EXPECT_EQ(out.result.bytes, seq.result.bytes);
-  EXPECT_DOUBLE_EQ(out.result.duration, seq.result.duration);
-  EXPECT_DOUBLE_EQ(out.result.end_system_energy, seq.result.end_system_energy);
-  EXPECT_DOUBLE_EQ(out.result.network_energy, seq.result.network_energy);
-  EXPECT_TRUE(report.accounting_consistent());
-  EXPECT_EQ(report.max_concurrent_observed, 1);
-}
-
 TEST(Scheduler, ConcurrentTenantsContendForTheSharedPath) {
   const auto tb = tiny_xsede();
   const auto ds = job_dataset(100 * kMB, 10);
