@@ -1,12 +1,12 @@
 // Supervised recovery sweep: how the watchdog deadline and the failure
 // severity shape a job's fate. For each (deadline, severity) cell a kDeadline
-// job runs under the Supervisor — checkpointed retries plus the degradation
-// ladder — and the table reports the attempts it needed, whether the ladder
-// stepped it down, the goodput it salvaged, and the energy overhead relative
-// to the clean unsupervised run. The sweep makes the central trade visible:
-// tight watchdogs bound tail latency per attempt but re-pay per-file
-// overheads on every resumed leg, and under heavy faults they push jobs down
-// the ladder to safer, slower operating points.
+// job runs as a supervised service job — checkpointed retries plus the
+// degradation ladder — and the table reports the attempts it needed, whether
+// the ladder stepped it down, the goodput it salvaged, and the energy
+// overhead relative to the clean unsupervised run. The sweep makes the
+// central trade visible: tight watchdogs bound tail latency per attempt but
+// re-pay per-file overheads on every resumed leg, and under heavy faults
+// they push jobs down the ladder to safer, slower operating points.
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
             << "clean unsupervised run: " << Table::num(clean_t, 1) << " s, "
             << Table::num(clean_j, 0) << " J\n\n";
 
-  // Supervisor cells are not plain algorithm runs, so they use the sweep
+  // Supervised cells are not plain algorithm runs, so they use the sweep
   // runner's deterministic fan-out primitive directly: each (severity x
   // deadline) cell owns its service, and rows are rendered in cell order
   // regardless of which worker finished first.

@@ -20,7 +20,7 @@
 // no wall clock, no randomness, no shared state. Feed it the same
 // observations in the same order and phi is bit-identical, which is what lets
 // failover decisions live inside byte-reproducible benches. One monitor
-// belongs to one supervisor/scheduler and is used single-threaded.
+// belongs to one Scheduler::run and is used single-threaded.
 #pragma once
 
 #include <vector>
@@ -30,7 +30,10 @@
 namespace eadt::exp {
 
 struct HealthMonitorConfig {
-  /// phi at or above which a path is suspect (failover candidates preferred).
+  /// phi at or above which a path counts as suspect. Nothing reads it:
+  /// placement moves every dispatch to the lowest-phi path with headroom
+  /// whatever the threshold, so suspicion is a reading of phi, not a rule.
+  /// Kept so configurations that set it still compile.
   double suspect_phi = 1.0;
   /// phi at or above which a path is treated as failed for placement.
   double fail_phi = 3.0;
@@ -61,7 +64,6 @@ class HealthMonitor {
 
   [[nodiscard]] int paths() const noexcept { return static_cast<int>(state_.size()); }
   [[nodiscard]] double phi(int path) const;
-  [[nodiscard]] bool suspect(int path) const { return phi(path) >= cfg_.suspect_phi; }
   [[nodiscard]] bool failed(int path) const { return phi(path) >= cfg_.fail_phi; }
 
   /// Lowest-phi path, excluding `exclude` (pass -1 to exclude none); ties go

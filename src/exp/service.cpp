@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "baselines/baselines.hpp"
+#include "exp/scheduler.hpp"
 #include "obs/obs.hpp"
 
 namespace eadt::exp {
@@ -34,15 +35,40 @@ TransferService::TransferService(testbeds::Testbed testbed, BitsPerSecond refere
 }
 
 JobOutcome TransferService::run_job(const TransferJob& job) const {
-  // Unsupervised services still run through the Supervisor with a single-shot
-  // policy: one attempt, no watchdog. That path is behaviourally identical to
-  // the legacy switch (same plans, same configs) but reports aborts honestly.
+  // The job is the only tenant of its own schedule, starting at t = 0, so
+  // its first leg is the engine's own run. The second slot is for a hedge
+  // race's second leg. Unsupervised, the job gets one attempt and the
+  // session's time guard is its watchdog: an abort is then a failure.
+  SchedulerPolicy policy;
+  policy.max_concurrent = 2;
+  policy.max_queue_depth = 1;
   SupervisorPolicy single_shot;
-  single_shot.attempt_deadline = 0.0;
   single_shot.max_attempts = 1;
-  SupervisorPolicy policy = supervisor_ ? *supervisor_ : single_shot;
-  Supervisor supervisor(testbed_, reference_rate_, faults_, policy, config_);
-  return supervisor.run(job);
+  policy.supervision = supervisor_.value_or(single_shot);
+  SupervisorPolicy& sup = policy.supervision;
+  if (sup.attempt_deadline <= 0.0) sup.attempt_deadline = config_.max_sim_time;
+  policy.paths = sup.paths;
+  policy.health = sup.health;
+  // A leg runs at most a tick past its deadline: the horizon never cuts a
+  // job the watchdog would still retry.
+  policy.horizon = (sup.max_attempts + 1) * (sup.attempt_deadline + config_.tick);
+  Scheduler scheduler(testbed_, reference_rate_, std::move(policy), config_);
+  scheduler.set_fault_plan(faults_);
+  TenantOutcome t = std::move(scheduler.run({{job, 0.0}}).jobs.front());
+
+  JobOutcome out;
+  out.name = std::move(t.name);
+  out.policy = t.policy;
+  out.result = std::move(t.result);
+  out.failed = t.failed;
+  out.attempts = t.attempts;
+  out.recovery = std::move(t.recovery);
+  out.sla_met = t.sla_met;
+  out.migrations = t.migrations;
+  out.final_path = t.path;
+  out.hedge_legs = t.hedge_legs;
+  out.hedge_energy = t.hedge_energy;
+  return out;
 }
 
 ServiceReport TransferService::run_queue(std::vector<TransferJob> jobs,

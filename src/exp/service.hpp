@@ -51,7 +51,7 @@ struct JobOutcome {
   /// guard / watchdog) or refused to start. A failed job's rates are excluded
   /// from the report's aggregate reference-rate math.
   bool failed = false;
-  int attempts = 1;          ///< legs run (1 = no supervisor retry was needed)
+  int attempts = 1;          ///< attempts run (1 = no retry was needed)
   RecoveryLog recovery;      ///< every supervision decision, in order
   bool sla_met = true;       ///< kSla only (and only if completed); true otherwise
   double cost_usd = 0.0;     ///< 0 unless the service has a tariff
@@ -59,7 +59,7 @@ struct JobOutcome {
   int migrations = 0;        ///< failovers to an alternate path (not retries)
   int final_path = 0;        ///< PathSet index the job finished (or died) on
   int hedge_legs = 0;        ///< tail legs raced for the deadline (0 or 2)
-  Joules hedge_energy = 0.0; ///< losing leg's double-spend up to cancellation
+  Joules hedge_energy = 0.0; ///< cancelled leg's energy since the race forked
 
   [[nodiscard]] double throughput_mbps() const {
     return to_mbps(result.avg_throughput());
@@ -127,8 +127,9 @@ class TransferService {
   void set_fault_plan(proto::FaultPlan faults) { faults_ = std::move(faults); }
 
   /// Enable supervision: per-attempt deadline watchdogs, checkpointed
-  /// retries, and the degradation ladder (see exp::Supervisor). Without this
-  /// the service runs each job once and merely reports failures honestly.
+  /// retries, the degradation ladder, path failover and the hedged tail race
+  /// of the job's one-tenant exp::Scheduler schedule. Without this the
+  /// service runs each job once and merely reports failures honestly.
   void set_supervisor(SupervisorPolicy policy) { supervisor_ = policy; }
 
  private:

@@ -4,7 +4,7 @@
 // lists the routes that *could* carry the same endpoints: the primary the
 // testbed was built with, plus backups with their own link characteristics
 // (PathSpec), device chain (Route), and tariff zone. The resilience layer
-// (exp::HealthMonitor + supervisor/scheduler failover) picks among them;
+// (exp::HealthMonitor + the scheduler's placement) picks among them;
 // this header only describes them.
 //
 // net/ sits below proto/, so a PathOption holds pure network identity — the

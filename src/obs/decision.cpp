@@ -39,7 +39,6 @@ std::string_view to_string(DecisionKind kind) noexcept {
     case DecisionKind::kSupervisorAbort: return "supervisor-abort";
     case DecisionKind::kSupervisorDegrade: return "supervisor-degrade";
     case DecisionKind::kSupervisorGiveUp: return "supervisor-give-up";
-    case DecisionKind::kSupervisorDone: return "supervisor-done";
     case DecisionKind::kSchedulerAdmit: return "scheduler-admit";
     case DecisionKind::kSchedulerShed: return "scheduler-shed";
     case DecisionKind::kSchedulerDefer: return "scheduler-defer";
@@ -47,7 +46,6 @@ std::string_view to_string(DecisionKind kind) noexcept {
     case DecisionKind::kSchedulerPreempt: return "scheduler-preempt";
     case DecisionKind::kSchedulerDone: return "scheduler-done";
     case DecisionKind::kPlanTune: return "plan-tune";
-    case DecisionKind::kPathSuspect: return "path-suspect";
     case DecisionKind::kPathFailover: return "path-failover";
     case DecisionKind::kHedgeLaunch: return "hedge-launch";
     case DecisionKind::kHedgeWin: return "hedge-win";

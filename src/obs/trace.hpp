@@ -10,7 +10,7 @@
 // Track (tid) layout within one process, shared by everything that writes
 // into a session's buffer:
 //   tid 0                      algorithm / control (transfer span, probes,
-//                              supervisor attempts, fault instants)
+//                              fault instants)
 //   tid 1 + chunk              one track per chunk (chunk activity spans)
 //   tid 64 + lane              channel leases; lanes are reused lowest-free
 //                              so concurrent leases never overlap on a track

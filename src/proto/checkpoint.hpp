@@ -10,8 +10,9 @@
 // The snapshot is deliberately *plan-agnostic*: progress is keyed by file id,
 // not by chunk or channel, so a resumed session may run a different plan —
 // fewer channels, or a different algorithm's chunking — over the residual
-// dataset. That is what lets the exp::Supervisor's degradation ladder step a
-// struggling job down to a safer operating point without losing landed bytes.
+// dataset. That is what lets exp::Scheduler's degradation ladder step a
+// struggling job down to a safer operating point, and move it to another
+// path, without losing landed bytes.
 // (Channel/chunk assignments at capture time are recorded for observability,
 // but a resume re-opens connections from scratch, as a real client would.)
 //

@@ -237,15 +237,18 @@ bool TransferSession::resume_from(const TransferCheckpoint& checkpoint,
   // partially delivered files shrink to their unlanded suffix. QueueEntry
   // keeps the full size, so per-file overheads and legacy full-retransmission
   // waste still see the real file.
+  Bytes landed_total = 0;
   for (std::size_t c = 0; c < queues_.size(); ++c) {
     std::deque<QueueEntry> residual;
     for (auto& e : queues_[c]) {
       if (completed.count(e.file_id) != 0) {
+        landed_total += e.remaining;
         chunk_remaining_[c] -= e.remaining;
         continue;
       }
       if (const auto it = delivered.find(e.file_id); it != delivered.end()) {
         const Bytes landed = std::min(it->second, e.remaining);
+        landed_total += landed;
         e.remaining -= landed;
         chunk_remaining_[c] -= landed;
         if (e.remaining == 0) continue;  // cursor at EOF: effectively landed
@@ -253,6 +256,13 @@ bool TransferSession::resume_from(const TransferCheckpoint& checkpoint,
       residual.push_back(e);
     }
     queues_[c] = std::move(residual);
+  }
+  // Every byte a session moves either lands once or is charged as waste.
+  const Bytes wasted = checkpoint.faults.wasted_bytes;
+  if (checkpoint.wire_bytes < wasted || checkpoint.wire_bytes - wasted != landed_total) {
+    return fail("checkpoint wire_bytes (" + std::to_string(checkpoint.wire_bytes) +
+                ") is not its delivered (" + std::to_string(landed_total) +
+                ") plus wasted (" + std::to_string(wasted) + ") bytes");
   }
 
   bytes_moved_ = checkpoint.wire_bytes;
@@ -1418,7 +1428,7 @@ RunResult TransferSession::finalize(bool completed, Seconds end_raw) {
   }
   res.faults = fault_stats_;
   if (!completed) {
-    // The abort checkpoint: the journal entry a supervisor resumes from.
+    // The abort checkpoint: the journal entry a resumed leg starts from.
     res.checkpoint = make_checkpoint();
     if (checkpoint_sink_) {
       checkpoint_sink_(*res.checkpoint);

@@ -59,7 +59,8 @@ struct RunResult {
   /// resume); such a result has completed == false and zero bytes.
   std::string error;
   /// Present whenever the run ended incomplete: the journal entry a caller
-  /// (e.g. exp::Supervisor) resumes from without losing landed bytes.
+  /// (e.g. exp::Scheduler's next leg) resumes from without losing landed
+  /// bytes.
   std::optional<TransferCheckpoint> checkpoint;
   FaultStats faults;       ///< robustness accounting (all zero without faults)
   /// Event-engine perf counters for this run (deterministic: a replay of the
@@ -106,7 +107,7 @@ struct SessionConfig {
   /// (the default) keeps the engine byte-identical and allocation-free: the
   /// only cost is one pointer compare at each guarded site. The sinks must
   /// outlive run(). Borrowed, so the config stays copyable — SweepRunner and
-  /// Supervisor copy configs freely and every copy publishes into the same
+  /// Scheduler copy configs freely and every copy publishes into the same
   /// sinks.
   obs::ObsSinks* obs = nullptr;
 };
@@ -233,9 +234,10 @@ class TransferSession : private FaultHost {
   /// set_fault_plan() (which reseeds the RNGs this restores) and before
   /// run(). Fails (false, *error filled) on a dataset-fingerprint mismatch, a
   /// server-count mismatch, or a journal no session could have written: a
-  /// negative count (quarantined channels, fault counters), or a negative or
+  /// negative count (quarantined channels, fault counters), a negative or
   /// non-finite time or energy (taken_at, the energy and downtime ledgers,
-  /// per-server joules and active time). The session is unusable after a
+  /// per-server joules and active time), or wire bytes that are not the
+  /// delivered bytes plus the wasted ones. The session is unusable after a
   /// failed resume.
   [[nodiscard]] bool resume_from(const TransferCheckpoint& checkpoint,
                                  std::string* error = nullptr);

@@ -288,6 +288,9 @@ TEST(Checkpoint, ReaderRejectsMalformedInput) {
       {"srv1", [](TransferCheckpoint& c) { c.source_servers[1].active_time = kNan; }},
       {"srv", [](TransferCheckpoint& c) { c.destination_servers[0].joules = kInf; }},
       {"srv1", [](TransferCheckpoint& c) { c.destination_servers[1].active_time = -0.0625; }},
+      {"wire_bytes", [](TransferCheckpoint& c) { c.wire_bytes = 0; }},
+      {"wire_bytes", [](TransferCheckpoint& c) { c.wire_bytes += 1; }},
+      {"wire_bytes", [](TransferCheckpoint& c) { c.faults.wasted_bytes = c.wire_bytes + 1; }},
   };
   for (const auto& [named, corrupt] : cases) {
     TransferCheckpoint c = *aborted.checkpoint;

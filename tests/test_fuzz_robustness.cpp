@@ -1,4 +1,5 @@
-// Randomized fault-plan fuzz battery over the Supervisor and the Scheduler.
+// Randomized fault-plan fuzz battery over the Scheduler, for tenants sharing
+// a site and for service jobs (each a one-tenant schedule).
 //
 // Each case draws a job mix, a fault workload, and a policy from a seeded Rng
 // and asserts the invariants the robustness layer promises regardless of what
@@ -397,9 +398,11 @@ TEST(FuzzRobustness, SupervisorInvariantsHoldAcrossSeeds) {
     policy.max_attempts = static_cast<int>(rng.uniform_int(2, 6));
     policy.degrade_after = static_cast<int>(rng.uniform_int(1, 2));
 
-    Supervisor supervisor(tb, gbps(7.0), fuzz_faults(rng), policy, fast_cfg());
+    TransferService service(tb, gbps(7.0), fast_cfg());
+    service.set_fault_plan(fuzz_faults(rng));
+    service.set_supervisor(policy);
     const auto job = fuzz_job(rng, static_cast<int>(seed));
-    const auto outcome = supervisor.run(job);
+    const auto outcome = service.run_queue({job}).jobs.front();
 
     EXPECT_LE(outcome.attempts, policy.max_attempts);
     EXPECT_GE(outcome.attempts, 1);
@@ -554,10 +557,12 @@ TEST(FuzzRobustness, ArbiterSameSeedIsBitReproducibleAcrossJobCounts) {
 /// whole draw happens before the run, from the seed alone, so two calls with
 /// different `tick_jobs` schedule byte-identical inputs. `shared` puts every
 /// tenant on one set of sinks (SessionConfig::obs) instead of a collector.
+/// `hedged` (with `multipath`) cuts attempts short against a job deadline
+/// they miss, so aborted tenants race their tails on two paths.
 FuzzRun run_parallel_fleet(std::uint64_t seed, int n, int tick_jobs,
                            bool multipath = false,
                            obs::ObsCollector* collector = nullptr,
-                           obs::ObsSinks* shared = nullptr) {
+                           obs::ObsSinks* shared = nullptr, bool hedged = false) {
   Rng rng(seed);
   const auto tb = tiny_xsede();
 
@@ -571,6 +576,12 @@ FuzzRun run_parallel_fleet(std::uint64_t seed, int n, int tick_jobs,
   policy.supervision.degrade_after = 1;
   policy.horizon = 24.0 * 3600;
   policy.jobs = tick_jobs;
+  if (hedged) {
+    policy.supervision.attempt_deadline = 1.0;
+    policy.supervision.max_attempts = 16;
+    policy.supervision.job_deadline = 1.5;
+    policy.supervision.hedge = true;
+  }
   if (rng.uniform01() < 0.5) {
     policy.link_brownouts.push_back({rng.uniform(5.0, 40.0),
                                      rng.uniform(5.0, 30.0),
@@ -666,6 +677,36 @@ TEST(FuzzRobustness, ParallelFleetMultipathIsBitIdenticalToSequential) {
     EXPECT_GE(par.report.max_concurrent_observed, 16);
     EXPECT_EQ(par.report.power_cap_violations, 0);
   }
+}
+
+TEST(FuzzRobustness, ParallelFleetHedgedIsBitIdenticalToSequential) {
+  // Hedge races in a fleet: a race's second leg publishes into its tenant's
+  // slot, so the tick runs serially while any race is live and sharded
+  // otherwise. Reports and decision exports must not see the difference.
+  obs::ObsCollector seq_obs;
+  obs::ObsCollector par_obs;
+  const auto seq = run_parallel_fleet(141, 48, 1, true, &seq_obs, nullptr, true);
+  const auto par = run_parallel_fleet(141, 48, 4, true, &par_obs, nullptr, true);
+  expect_payloads_equal(scheduler_report_payload(seq.report),
+                        scheduler_report_payload(par.report));
+  const auto decisions = [](const obs::ObsCollector& c) {
+    std::ostringstream os;
+    c.write_decisions_json(os);
+    return os.str();
+  };
+  expect_payloads_equal(decisions(seq_obs), decisions(par_obs));
+
+  EXPECT_GE(par.report.max_concurrent_observed, 16);
+  EXPECT_TRUE(par.report.accounting_consistent());
+  int races = 0;
+  for (std::size_t i = 0; i < par.report.jobs.size(); ++i) {
+    const auto& out = par.report.jobs[i];
+    races += out.hedge_legs / 2;
+    EXPECT_LE(out.hedge_legs, 2);
+    EXPECT_GE(out.hedge_energy, 0.0);
+    check_outcome_invariants("hedged fleet", out, par.dataset_bytes[i]);
+  }
+  EXPECT_GE(races, 1);
 }
 
 TEST(FuzzRobustness, ParallelFleetSameSeedIsBitReproducible) {
