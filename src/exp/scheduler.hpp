@@ -332,13 +332,6 @@ class Scheduler {
   /// collector all tenants share base_config_.obs, and a hedge race's two
   /// legs share their tenant's slot, so the tick stays serial).
   [[nodiscard]] TickPool* tick_pool() const noexcept;
-  /// Copy each running tenant's slice of the arbiter's current round into
-  /// the staged scratch (tick_alloc_ / tick_slices_), tagged with the
-  /// round's efficiency and burst factors. Staging is what lets the rate
-  /// application run after the arbiter's buffers are reused (one round per
-  /// path) and off-thread (slices index caller-owned storage).
-  void stage_allocations(const std::vector<Tenant*>& group, double eff,
-                         double burst_cap);
   /// Serial-commit telemetry hooks. sample_telemetry() fills the hub's
   /// scratch from deterministic state when a sample is due; flight_note()
   /// records this tick into the recorder's ring; emit_sched_tracks() writes
@@ -368,7 +361,6 @@ class Scheduler {
 
   // --- run() state -------------------------------------------------------
   sim::Simulation sim_;
-  net::LinkArbiter arbiter_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<Tenant*> queue_;    ///< waiting, in priority order
   std::vector<Tenant*> running_;  ///< dispatch order (preemption scans back)
@@ -381,25 +373,45 @@ class Scheduler {
 
   // --- per-tick scratch (hoisted so a steady-state master tick performs no
   // heap allocations; scratch only — never carries state across ticks) ------
-  /// One tenant's staged share of a tick's arbitration: a window into
-  /// tick_alloc_ plus the round factors apply_link_allocation() needs.
-  struct StagedSlice {
-    std::size_t offset = 0;
-    std::size_t count = 0;
+  /// What the serial round needs of one running tenant's tick, so that it
+  /// reads no session. Indexed like running_; the prepare phase writes it
+  /// from the worker running the tenant's chunk.
+  struct TickStage {
+    int path = 0;
+    int streams = 0;              ///< aggregate_streams()
+    double demand = 0.0;          ///< aggregate_demand()
+    double path_factor = 1.0;
+    /// Where the tenant's link demands start in its chunk's buffer; after
+    /// the round, where its allocation starts in `slice`.
+    std::uint32_t offset = 0;
+    std::uint32_t count = 0;      ///< link demands (and allocations)
+    std::uint32_t slice = 0;      ///< set by the round: the submission holding them
+  };
+  /// What the serial commit needs, written by the apply phase. Apart from
+  /// TickStage so that the commit's pass reads 24 bytes a tenant.
+  struct TickResult {
+    Watts power = 0.0;
+    Bytes bytes = 0;
+    bool more = false;            ///< advance_commit(): not finished yet
+  };
+  /// One path-table entry's fair-share round. The arbiter keeps its slices
+  /// valid until its next round, so the apply phase reads them in place.
+  struct PathRound {
+    net::LinkArbiter arbiter;
     double eff = 1.0;
     double burst_cap = 1.0;
   };
   std::vector<Tenant*> overdue_;        ///< watchdog sweep
   std::vector<Tenant*> finished_;       ///< tenants completing this tick
-  std::vector<Tenant*> path_group_;     ///< one path's tenants
   std::vector<Watts> path_measured_;    ///< per-site power books
   std::vector<double> path_bytes_;      ///< health feed
-  std::vector<BitsPerSecond> tick_alloc_;  ///< staged slices, concatenated
-  std::vector<StagedSlice> tick_slices_;   ///< indexed like running_
-  /// advance_commit()'s "more to do" per tenant, staged by the sharded
-  /// commit phase for the serial one; indexed like running_. Bytes, not
-  /// vector<bool>: neighbouring tenants are written from different workers.
-  std::vector<unsigned char> tick_more_;
+  std::vector<TickStage> tick_stage_;   ///< indexed like running_
+  std::vector<TickResult> tick_result_; ///< indexed like running_
+  /// Link demands copied in the prepare phase, one buffer per pool chunk
+  /// (a chunk's tenants run in order on one thread). Never shrunk, so each
+  /// buffer keeps its capacity across ticks.
+  std::vector<std::vector<net::Demand>> chunk_demands_;
+  std::vector<PathRound> path_round_;   ///< indexed like the path table
   std::unique_ptr<TickPool> pool_;      ///< live while run() executes (jobs > 1)
 
   // --- path table: one entry per PathSet option, or one for the testbed's
