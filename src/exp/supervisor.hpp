@@ -63,7 +63,7 @@ enum class RecoveryAction {
 /// One audited supervision decision.
 struct RecoveryEvent {
   /// Cumulative transfer seconds when the decision fell; a scheduler's
-  /// shed, defer and preempt carry its schedule clock instead.
+  /// shed and defer carry its schedule clock instead.
   Seconds at = 0.0;
   int attempt = 0;   ///< 1-based attempt the decision belongs to
   RecoveryAction action = RecoveryAction::kResume;

@@ -55,7 +55,7 @@ enum class DecisionKind {
 /// One decision. Numeric fields are 0 when not applicable to the kind.
 struct Decision {
   /// Absolute transfer time of the decision; the scheduler's admit, shed,
-  /// defer, dispatch, preempt and done carry its schedule clock instead.
+  /// defer, dispatch and done carry its schedule clock instead.
   Seconds at = 0.0;
   DecisionKind kind = DecisionKind::kHteeProbe;
   const char* actor = "";      ///< "MinE", "HTEE", "SLAEE", "Scheduler" (static)
