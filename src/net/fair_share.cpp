@@ -57,23 +57,36 @@ BitsPerSecond fair_share_reference_into(BitsPerSecond capacity,
   return std::accumulate(allocation.begin(), allocation.end(), 0.0);
 }
 
-RoundOneVerdict unit_fill_round_one(BitsPerSecond capacity,
-                                    std::span<const Demand> demands) noexcept {
-  // Mirrors the reference's first round with every weight 1.0: the active
-  // set is the positive caps, its weight sum is exactly k, and each active
-  // flow's headroom is its cap (nothing is allocated yet).
-  std::size_t k = 0;
-  for (const Demand& d : demands) k += d.cap > 0.0 ? 1 : 0;
-  if (k == 0) return {RoundOneVerdict::Kind::kAllCapped, 0.0};
-  // The reference fills nothing unless capacity clears its 1e-9 floor (a
-  // NaN capacity included), and min(cap, 0) is 0 for every positive cap.
-  if (!(capacity > 1e-9)) return {RoundOneVerdict::Kind::kAllShared, 0.0};
-  const BitsPerSecond share = capacity / static_cast<double>(k);
-  std::size_t capped = 0;
-  for (const Demand& d : demands) capped += d.cap > 0.0 && d.cap <= share ? 1 : 0;
-  if (capped == k) return {RoundOneVerdict::Kind::kAllCapped, 0.0};
-  if (capped == 0) return {RoundOneVerdict::Kind::kAllShared, share};
-  return {RoundOneVerdict::Kind::kMixed, 0.0};
+void unit_fill_clamp(BitsPerSecond capacity, std::span<BitsPerSecond> caps,
+                     FairShareScratch& scratch) {
+  // Every active flow's allocation is 0 until it leaves, so its headroom is
+  // its cap, and the weight sum of a round is exactly its active count.
+  auto& active = scratch.active;
+  active.clear();
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    if (caps[i] > 0.0) active.push_back(i);
+  }
+  BitsPerSecond remaining = capacity;
+  while (!active.empty()) {
+    if (!(remaining > 1e-9)) {
+      for (const std::size_t i : active) caps[i] = 0.0;
+      return;
+    }
+    const BitsPerSecond share = remaining / static_cast<double>(active.size());
+    std::size_t survivors = 0;
+    for (const std::size_t i : active) {
+      if (caps[i] <= share) {
+        remaining -= caps[i];
+      } else {
+        active[survivors++] = i;
+      }
+    }
+    if (survivors == active.size()) {
+      for (const std::size_t i : active) caps[i] = share;
+      return;
+    }
+    active.resize(survivors);
+  }
 }
 
 BitsPerSecond fair_share_into(BitsPerSecond capacity, std::span<const Demand> demands,

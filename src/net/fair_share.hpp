@@ -43,31 +43,19 @@ BitsPerSecond fair_share_reference_into(BitsPerSecond capacity,
                                         std::vector<BitsPerSecond>& allocation,
                                         FairShareScratch& scratch);
 
-/// How round one of fair_share_reference_into ends a unit-weight fill (every
-/// weight 1.0, as in a per-server disk pool). With k positive caps, round one
-/// offers each of them capacity/k:
-///   * kAllCapped — every positive cap is at most capacity/k: each flow gets
-///     its cap, the fill ends;
-///   * kAllShared — none is: each gets `share` (capacity/k; 0 when capacity
-///     is below the reference's 1e-9 floor), the fill ends;
-///   * kMixed     — some are, some are not: later rounds decide, so run
-///     fair_share_into.
-/// Flows with a cap that is not positive (zero, negative, NaN) get 0 in the
-/// reference. The contract (tests/test_fair_share.cpp): for every flow i of a
-/// settled fill, min(cap_i, reference allocation_i) is bitwise equal to
-/// cap_i under kAllCapped and to min(cap_i, share) under kAllShared — so a
-/// caller that clamps caps by the fill's allocation may apply the verdict
-/// instead and skip the fill.
-struct RoundOneVerdict {
-  enum class Kind { kAllCapped, kAllShared, kMixed };
-  Kind kind = Kind::kMixed;
-  BitsPerSecond share = 0.0;  ///< kAllShared only
-};
-
-/// The verdict for a unit-weight fill of `capacity` over `demands` (their
-/// weights are ignored and taken as 1.0). O(|demands|), no allocation.
-[[nodiscard]] RoundOneVerdict unit_fill_round_one(BitsPerSecond capacity,
-                                                  std::span<const Demand> demands) noexcept;
+/// Clamp each of `caps` to min(cap, its allocation) in a unit-weight fill of
+/// `capacity` (every weight 1.0, as in a per-server disk pool): bitwise what
+/// fair_share_reference_into followed by std::min(cap, allocation) writes,
+/// in place and without the allocation vector. It runs the reference's own
+/// rounds with weight 1: the positive caps are active, a round offers each
+/// remaining/k, a cap at or under that keeps its value and leaves (its cap
+/// comes off `remaining` in index order), and a round that caps no one gives
+/// its survivors the share. Once `remaining` is not above the reference's
+/// 1e-9 floor (a NaN or non-positive capacity included), the active caps
+/// become 0. Caps that are not positive (zero, -0.0, negative, NaN) keep
+/// their value. Allocation-free once `scratch` has warmed to capacity.
+void unit_fill_clamp(BitsPerSecond capacity, std::span<BitsPerSecond> caps,
+                     FairShareScratch& scratch);
 
 /// Weighted max-min fair allocation of `capacity` across `demands`, written
 /// into `allocation` (resized to demands.size(); previous contents ignored).

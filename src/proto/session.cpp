@@ -425,7 +425,10 @@ void TransferSession::assign_channel(Channel& ch, int chunk) {
   ch.chunk = chunk;
   ch.parallelism = std::max(1, plan_.params[static_cast<std::size_t>(chunk)].parallelism);
   ch.pipelining = std::max(1, plan_.params[static_cast<std::size_t>(chunk)].pipelining);
+  ch.fixed_overhead = env_.per_file_cost + plan_.service_overhead_per_file +
+                      net::control_gap_per_file(env_.path, ch.pipelining);
   ch.cold = true;  // a (re)assigned channel ramps its window from scratch
+  layout_dirty_ = true;  // open_channel comes through here too
 }
 
 bool TransferSession::server_up(bool source_side, std::size_t server) const {
@@ -477,6 +480,7 @@ void TransferSession::close_channel(std::size_t idx) {
     queues_[static_cast<std::size_t>(ch.chunk)].push_front(ch.work);
   }
   channels_.erase(channels_.begin() + static_cast<std::ptrdiff_t>(idx));
+  layout_dirty_ = true;
 }
 
 void TransferSession::charge_waste(Bytes lost) {
@@ -528,6 +532,7 @@ void TransferSession::fault_drop_channel(int index) {
                  : live[victim_rng_.uniform_int(0, live.size() - 1)];
   Channel& ch = channels_[victim];
   ++fault_stats_.channel_drops;
+  layout_dirty_ = true;  // the victim goes down or is erased
   requeue_inflight(ch);
   ++ch.failures;
   if (ch.failures > faults_.retry.channel_retry_budget) {
@@ -573,6 +578,7 @@ void TransferSession::fault_server_state(bool source_side, std::size_t server, b
     ups[server] = 0;
     since[server] = sim_.now();
     ++fault_stats_.server_outages;
+    layout_dirty_ = true;
     // Displace every channel on the dead server. Server loss does not count
     // against the channel's own retry budget — the slot did nothing wrong.
     for (auto& ch : channels_) {
@@ -629,6 +635,7 @@ void TransferSession::revive_channels() {
   for (auto& ch : channels_) {
     if (ch.down && !ch.stranded && sim_.now() >= ch.down_until) {
       ch.down = false;
+      layout_dirty_ = true;
       fault_stats_.channel_downtime += sim_.now() - ch.down_since;
     }
   }
@@ -925,9 +932,7 @@ Seconds TransferSession::per_file_overhead(const Channel& ch, Bytes size,
   // decay); unpipelined ones sit a full RTT waiting for the next command,
   // losing part of the window.
   const double warm = cold ? 0.0 : (ch.pipelining > 1 ? 1.0 : env_.warm_fraction);
-  Seconds overhead = env_.per_file_cost + plan_.service_overhead_per_file +
-                     net::control_gap_per_file(env_.path, ch.pipelining) +
-                     slow_start(size, warm);
+  Seconds overhead = ch.fixed_overhead + slow_start(size, warm);
   if (plan_.checksum_rate > 0.0) {
     overhead += to_bits(size) / plan_.checksum_rate;  // post-landing verify pass
   }
@@ -948,61 +953,63 @@ Seconds TransferSession::slow_start(Bytes size, double warm) const {
   return net::slow_start_penalty(env_.path, size, warm);
 }
 
-void TransferSession::collect_link_demands() {
-  const auto& path = env_.path;
-  const BitsPerSecond window_cap = net::stream_window_cap(path);
-
-  // Per-server resident load (processes/threads), needed for CPU caps. All
-  // working vectors live in scratch_ so a steady-state tick never allocates.
-  const std::size_t ns = env_.source.servers.size();
-  const std::size_t nd = env_.destination.servers.size();
-  auto& src_procs = scratch_.src_procs;
-  auto& src_threads = scratch_.src_threads;
-  auto& dst_procs = scratch_.dst_procs;
-  auto& dst_threads = scratch_.dst_threads;
-  src_procs.assign(ns, 0);
-  src_threads.assign(ns, 0);
-  dst_procs.assign(nd, 0);
-  dst_threads.assign(nd, 0);
+void TransferSession::rebuild_layout() {
+  layout_dirty_ = false;
+  src_procs_.assign(env_.source.servers.size(), 0);
+  src_threads_.assign(env_.source.servers.size(), 0);
+  dst_procs_.assign(env_.destination.servers.size(), 0);
+  dst_threads_.assign(env_.destination.servers.size(), 0);
   for (const auto& ch : channels_) {
     if (ch.down) continue;  // a dead connection holds no server processes
-    ++src_procs[ch.src_server];
-    src_threads[ch.src_server] += ch.parallelism;
-    ++dst_procs[ch.dst_server];
-    dst_threads[ch.dst_server] += ch.parallelism;
+    ++src_procs_[ch.src_server];
+    src_threads_[ch.src_server] += ch.parallelism;
+    ++dst_procs_[ch.dst_server];
+    dst_threads_[ch.dst_server] += ch.parallelism;
   }
 
-  // Per-channel caps before disk: TCP windows, CPU shares and per-stream
-  // storage on both ends. With this tick's per-server counts fixed, the cap
-  // is a function of (source server, destination server, parallelism) only.
-  // Packed placement and per-chunk parallelism make consecutive busy
-  // channels share that key, so the last value computed is reused.
-  auto& caps = scratch_.caps;
-  auto& duty = scratch_.duty;
-  caps.assign(channels_.size(), 0.0);
-  duty.assign(channels_.size(), 1.0);
-  int total_streams = 0;
+  // With the per-server counts fixed, a channel's pre-duty cap is a function
+  // of (source server, destination server, parallelism) only. Packed
+  // placement and per-chunk parallelism make consecutive channels share
+  // that key, so the last value computed is reused.
+  const BitsPerSecond window_cap = net::stream_window_cap(env_.path);
   const Channel* cap_key = nullptr;
-  BitsPerSecond key_cap = 0.0;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    auto& ch = channels_[i];
-    ch.rate = 0.0;
-    ch.moved_this_tick = 0;
-    if (!ch.busy) continue;
+  for (auto& ch : channels_) {
+    if (ch.down) continue;
     if (cap_key == nullptr || ch.src_server != cap_key->src_server ||
         ch.dst_server != cap_key->dst_server || ch.parallelism != cap_key->parallelism) {
       const auto& src = env_.source.servers[ch.src_server];
       const auto& dst = env_.destination.servers[ch.dst_server];
       const BitsPerSecond cpu_src = host::channel_cpu_cap(
-          src, src_procs[ch.src_server], src_threads[ch.src_server], ch.parallelism);
+          src, src_procs_[ch.src_server], src_threads_[ch.src_server], ch.parallelism);
       const BitsPerSecond cpu_dst = host::channel_cpu_cap(
-          dst, dst_procs[ch.dst_server], dst_threads[ch.dst_server], ch.parallelism);
-      key_cap = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu_src,
-                          cpu_dst, host::channel_stream_cap(src, ch.parallelism),
-                          host::channel_stream_cap(dst, ch.parallelism)});
-      cap_key = &ch;
+          dst, dst_procs_[ch.dst_server], dst_threads_[ch.dst_server], ch.parallelism);
+      ch.base_cap = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu_src,
+                              cpu_dst, host::channel_stream_cap(src, ch.parallelism),
+                              host::channel_stream_cap(dst, ch.parallelism)});
+    } else {
+      ch.base_cap = cap_key->base_cap;
     }
-    caps[i] = key_cap;
+    cap_key = &ch;
+  }
+}
+
+void TransferSession::collect_link_demands() {
+  if (layout_dirty_) rebuild_layout();
+
+  // Per-channel caps before disk come from the layout; the duty cycle
+  // depends on the file in flight, so it is computed every tick. All working
+  // vectors live in scratch_ so a steady-state tick never allocates.
+  auto& caps = scratch_.caps;
+  auto& duty = scratch_.duty;
+  caps.assign(channels_.size(), 0.0);
+  duty.assign(channels_.size(), 1.0);
+  int total_streams = 0;
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    auto& ch = channels_[i];
+    ch.rate = 0.0;
+    ch.moved_this_tick = 0;
+    if (!ch.busy) continue;
+    caps[i] = ch.base_cap;
     total_streams += ch.parallelism;
 
     // Duty cycle: the fraction of time this channel actually streams, given
@@ -1020,43 +1027,30 @@ void TransferSession::collect_link_demands() {
   // Disk pools are work-conserving: each server's aggregate disk bandwidth is
   // shared max-min across its channels, so a channel stalling on per-file
   // overheads donates its slack to streaming channels (this is what lets a
-  // multi-chunk schedule beat sequential phases). Most pools are settled by
-  // the fill's first round — every channel under its equal share, or every
-  // channel over it — and skip the fill (net::unit_fill_round_one).
+  // multi-chunk schedule beat sequential phases). Each busy channel keeps
+  // the smaller of its cap and its share (net::unit_fill_clamp).
   auto apply_disk_pool = [&](const std::vector<host::ServerSpec>& servers,
                              bool source_side, const std::vector<int>& procs) {
     for (std::size_t s = 0; s < servers.size(); ++s) {
       if (procs[s] <= 0) continue;
       const BitsPerSecond pool = host::disk_aggregate_bandwidth(servers[s].disk, procs[s]);
-      auto& d = scratch_.pool_demands;
+      auto& pool_caps = scratch_.pool_caps;
       auto& idx = scratch_.pool_index;
-      d.clear();
+      pool_caps.clear();
       idx.clear();
       for (std::size_t i = 0; i < channels_.size(); ++i) {
         const std::size_t at = source_side ? channels_[i].src_server
                                            : channels_[i].dst_server;
         if (at != s || !channels_[i].busy) continue;
-        d.push_back({caps[i], 1.0});
+        pool_caps.push_back(caps[i]);
         idx.push_back(i);
       }
-      const net::RoundOneVerdict verdict = net::unit_fill_round_one(pool, d);
-      switch (verdict.kind) {
-        case net::RoundOneVerdict::Kind::kAllCapped:
-          break;  // every channel keeps its cap
-        case net::RoundOneVerdict::Kind::kAllShared:
-          for (const std::size_t i : idx) caps[i] = std::min(caps[i], verdict.share);
-          break;
-        case net::RoundOneVerdict::Kind::kMixed:
-          net::fair_share_into(pool, d, scratch_.pool_alloc, scratch_.fair_share);
-          for (std::size_t k = 0; k < idx.size(); ++k) {
-            caps[idx[k]] = std::min(caps[idx[k]], scratch_.pool_alloc[k]);
-          }
-          break;
-      }
+      net::unit_fill_clamp(pool, pool_caps, scratch_.fair_share);
+      for (std::size_t k = 0; k < idx.size(); ++k) caps[idx[k]] = pool_caps[k];
     }
   };
-  apply_disk_pool(env_.source.servers, true, src_procs);
-  apply_disk_pool(env_.destination.servers, false, dst_procs);
+  apply_disk_pool(env_.source.servers, true, src_procs_);
+  apply_disk_pool(env_.destination.servers, false, dst_procs_);
 
   auto& demands = scratch_.link_demands;
   demands.assign(channels_.size(), net::Demand{});
@@ -1105,10 +1099,12 @@ void TransferSession::apply_link_allocation(std::span<const BitsPerSecond> alloc
   }
 
   // NIC ceilings per server: proportional scale-down if the *average* load
-  // (burst rate x duty) oversubscribes the card.
-  auto nic_scale = [&](const std::vector<host::ServerSpec>& servers, bool source_side) {
+  // (burst rate x duty) oversubscribes the card. A server with no live
+  // process carries only down channels, whose rates are 0: its sum is +0.
+  auto nic_scale = [&](const std::vector<host::ServerSpec>& servers, bool source_side,
+                       const std::vector<int>& procs) {
     for (std::size_t s = 0; s < servers.size(); ++s) {
-      if (servers[s].nic_speed <= 0.0) continue;
+      if (servers[s].nic_speed <= 0.0 || procs[s] == 0) continue;
       double sum = 0.0;
       for (std::size_t i = 0; i < channels_.size(); ++i) {
         const std::size_t at =
@@ -1125,8 +1121,8 @@ void TransferSession::apply_link_allocation(std::span<const BitsPerSecond> alloc
       }
     }
   };
-  nic_scale(env_.source.servers, true);
-  nic_scale(env_.destination.servers, false);
+  nic_scale(env_.source.servers, true, src_procs_);
+  nic_scale(env_.destination.servers, false, dst_procs_);
 }
 
 void TransferSession::allocate_rates() {
@@ -1204,20 +1200,23 @@ Joules TransferSession::account_energy(Seconds dt) {
   Bytes tick_bytes = 0;
   Joules tick_energy = 0.0;
 
+  // Processes and threads come from the layout, which no fault has moved
+  // since this tick's collect_link_demands(); a server with neither draws
+  // no power.
   auto account_side = [&](const Endpoint& ep, std::vector<ServerEnergy>& store,
-                          bool source_side) {
+                          bool source_side, const std::vector<int>& procs,
+                          const std::vector<int>& threads) {
     for (std::size_t s = 0; s < ep.servers.size(); ++s) {
+      if (procs[s] == 0) continue;
       host::HostLoad load;
+      load.processes = procs[s];
+      load.threads = threads[s];
+      load.buffered = static_cast<Bytes>(threads[s]) * env_.path.tcp_buffer;
       for (const auto& ch : channels_) {
         if (ch.down) continue;  // no process, no load, no power draw
         const std::size_t at = source_side ? ch.src_server : ch.dst_server;
-        if (at != s) continue;
-        ++load.processes;
-        load.threads += ch.parallelism;
-        load.goodput += static_cast<double>(ch.moved_this_tick) * 8.0 / dt;
-        load.buffered += static_cast<Bytes>(ch.parallelism) * env_.path.tcp_buffer;
+        if (at == s) load.goodput += static_cast<double>(ch.moved_this_tick) * 8.0 / dt;
       }
-      if (load.processes == 0) continue;
       load.disk_io = load.goodput;
       const auto u = host::utilization(ep.servers[s], load);
       const int n = host::active_cores(ep.servers[s], load);
@@ -1228,8 +1227,8 @@ Joules TransferSession::account_energy(Seconds dt) {
       tick_energy += p * dt;
     }
   };
-  account_side(env_.source, src_energy_, true);
-  account_side(env_.destination, dst_energy_, false);
+  account_side(env_.source, src_energy_, true, src_procs_, src_threads_);
+  account_side(env_.destination, dst_energy_, false, dst_procs_, dst_threads_);
 
   for (const auto& ch : channels_) tick_bytes += ch.moved_this_tick;
   last_tick_bytes_ = tick_bytes;

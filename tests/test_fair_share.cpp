@@ -178,14 +178,16 @@ TEST(FairShare, ScratchReuseIsBitwiseIdentical) {
   }
 }
 
-// --- the round-one verdict of a unit-weight fill -------------------------
+// --- the unit-weight clamp -------------------------------------------------
 //
-// A caller that clamps each cap by its fill allocation (the session's disk
-// pools) may apply unit_fill_round_one's verdict instead of the fill. The
-// contract is checked against the reference, bit for bit, after the clamp.
+// The session's disk pools keep min(cap, allocation) of a unit-weight fill.
+// unit_fill_clamp writes that in place; it is checked against the reference
+// fill followed by the same min, bit for bit.
 
-/// min(cap_i, reference allocation_i) for every flow: what the caller keeps.
-std::vector<double> clamped_by_reference(double capacity, const std::vector<Demand>& d) {
+/// min(cap_i, reference allocation_i) for every flow.
+std::vector<double> clamped_by_reference(double capacity, const std::vector<double>& caps) {
+  std::vector<Demand> d;
+  for (const double c : caps) d.push_back({c, 1.0});
   FairShareScratch scratch;
   std::vector<BitsPerSecond> alloc;
   fair_share_reference_into(capacity, d, alloc, scratch);
@@ -194,33 +196,40 @@ std::vector<double> clamped_by_reference(double capacity, const std::vector<Dema
   return out;
 }
 
-/// The same, from a settled verdict.
-std::vector<double> clamped_by_verdict(const RoundOneVerdict& v, const std::vector<Demand>& d) {
-  std::vector<double> out(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    out[i] = v.kind == RoundOneVerdict::Kind::kAllCapped ? d[i].cap : std::min(d[i].cap, v.share);
-  }
-  return out;
-}
-
 bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// Verdict of the fill; for a settled one, assert it reproduces the
-/// reference after the clamp.
-RoundOneVerdict::Kind check_verdict(double capacity, const std::vector<Demand>& d) {
-  const RoundOneVerdict v = unit_fill_round_one(capacity, d);
-  if (v.kind != RoundOneVerdict::Kind::kMixed) {
-    EXPECT_TRUE(bitwise_equal(clamped_by_verdict(v, d), clamped_by_reference(capacity, d)))
-        << "capacity " << capacity << ", " << d.size() << " flows, verdict "
-        << static_cast<int>(v.kind);
-  }
-  return v.kind;
+/// How the fill's first round ends: every positive cap at or under the
+/// equal split (or none positive), none of them, or some of each.
+enum class RoundOne { kAllCapped, kAllShared, kMixed };
+
+RoundOne round_one(double capacity, const std::vector<double>& caps) {
+  std::size_t k = 0;
+  for (const double c : caps) k += c > 0.0 ? 1 : 0;
+  if (k == 0) return RoundOne::kAllCapped;
+  if (!(capacity > 1e-9)) return RoundOne::kAllShared;
+  const double share = capacity / static_cast<double>(k);
+  std::size_t capped = 0;
+  for (const double c : caps) capped += c > 0.0 && c <= share ? 1 : 0;
+  if (capped == k) return RoundOne::kAllCapped;
+  return capped == 0 ? RoundOne::kAllShared : RoundOne::kMixed;
 }
 
-TEST(FairShareRoundOne, SettledVerdictsMatchTheReferenceBitForBit) {
+/// Clamp a copy of `caps` in place (through a scratch that served other
+/// pools before), assert it matches the reference, and return the round-one
+/// outcome.
+RoundOne check_clamp(double capacity, const std::vector<double>& caps) {
+  static FairShareScratch scratch;
+  std::vector<double> clamped = caps;
+  unit_fill_clamp(capacity, clamped, scratch);
+  EXPECT_TRUE(bitwise_equal(clamped, clamped_by_reference(capacity, caps)))
+      << "capacity " << capacity << ", " << caps.size() << " flows";
+  return round_one(capacity, caps);
+}
+
+TEST(UnitFillClamp, MatchesTheReferenceBitForBit) {
   Rng rng(20151115);
   constexpr int kPools = 20000;
   int hits[3] = {0, 0, 0};
@@ -235,11 +244,12 @@ TEST(FairShareRoundOne, SettledVerdictsMatchTheReferenceBitForBit) {
     else if (c < 0.05) capacity = -rng.uniform(1.0, 1e9);
     else if (c < 0.055) capacity = nan;
     else if (c < 0.06) capacity = inf;
-    // Caps under, over or around the equal split, so every verdict occurs.
+    // Caps under, over or around the equal split, so every round-one
+    // outcome occurs.
     const auto mode = rng.uniform_int(0, 2);
     const double scale = std::isfinite(capacity) && capacity > 0.0
                              ? capacity / static_cast<double>(n) : rng.uniform(1e7, 1e9);
-    std::vector<Demand> d;
+    std::vector<double> caps;
     for (std::size_t i = 0; i < n; ++i) {
       const double r = rng.uniform01();
       double cap = 0.0;
@@ -251,50 +261,52 @@ TEST(FairShareRoundOne, SettledVerdictsMatchTheReferenceBitForBit) {
       else if (mode == 0) cap = scale * rng.uniform(0.05, 1.0);
       else if (mode == 1) cap = scale * rng.uniform(1.0, 8.0);
       else cap = scale * rng.uniform(0.05, 3.0);
-      d.push_back({cap, 1.0});
+      caps.push_back(cap);
     }
-    ++hits[static_cast<int>(check_verdict(capacity, d))];
+    ++hits[static_cast<int>(check_clamp(capacity, caps))];
   }
-  EXPECT_GT(hits[static_cast<int>(RoundOneVerdict::Kind::kAllCapped)], kPools / 10);
-  EXPECT_GT(hits[static_cast<int>(RoundOneVerdict::Kind::kAllShared)], kPools / 10);
-  EXPECT_GT(hits[static_cast<int>(RoundOneVerdict::Kind::kMixed)], kPools / 10);
+  EXPECT_GT(hits[static_cast<int>(RoundOne::kAllCapped)], kPools / 10);
+  EXPECT_GT(hits[static_cast<int>(RoundOne::kAllShared)], kPools / 10);
+  EXPECT_GT(hits[static_cast<int>(RoundOne::kMixed)], kPools / 10);
 }
 
-TEST(FairShareRoundOne, EdgeCases) {
-  using K = RoundOneVerdict::Kind;
+TEST(UnitFillClamp, EdgeCases) {
+  using K = RoundOne;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  const auto pool = [](std::initializer_list<double> caps) {
-    std::vector<Demand> d;
-    for (const double c : caps) d.push_back({c, 1.0});
-    return d;
-  };
   // A cap exactly at capacity/k is capped: the reference tests headroom <= share.
-  EXPECT_EQ(check_verdict(3e9, pool({1e9, 1e9, 1e9})), K::kAllCapped);
-  EXPECT_EQ(check_verdict(3e9, pool({1e9, 2e9, 2e9})), K::kMixed);
-  EXPECT_EQ(check_verdict(3e9, pool({1e9 + 1.0, 2e9, 2e9})), K::kAllShared);
+  EXPECT_EQ(check_clamp(3e9, {1e9, 1e9, 1e9}), K::kAllCapped);
+  EXPECT_EQ(check_clamp(3e9, {1e9, 2e9, 2e9}), K::kMixed);
+  EXPECT_EQ(check_clamp(3e9, {1e9 + 1.0, 2e9, 2e9}), K::kAllShared);
   // Caps that are not positive take no part; they keep their value.
-  EXPECT_EQ(check_verdict(2e9, pool({0.0, -5.0, nan, -0.0, 3e9})), K::kAllShared);
-  EXPECT_EQ(check_verdict(2e9, pool({0.0, -5.0, nan, -0.0, 1e9})), K::kAllCapped);
-  EXPECT_EQ(check_verdict(2e9, pool({0.0, -0.0, nan})), K::kAllCapped);
+  EXPECT_EQ(check_clamp(2e9, {0.0, -5.0, nan, -0.0, 3e9}), K::kAllShared);
+  EXPECT_EQ(check_clamp(2e9, {0.0, -5.0, nan, -0.0, 1e9}), K::kAllCapped);
+  EXPECT_EQ(check_clamp(2e9, {0.0, -0.0, nan}), K::kAllCapped);
   // An infinite cap is never under the share; an infinite pool caps everyone.
-  EXPECT_EQ(check_verdict(2e9, pool({inf, inf})), K::kAllShared);
-  EXPECT_EQ(check_verdict(2e9, pool({inf, 1e8})), K::kMixed);
-  EXPECT_EQ(check_verdict(inf, pool({inf, 1e8, 0.0})), K::kAllCapped);
+  EXPECT_EQ(check_clamp(2e9, {inf, inf}), K::kAllShared);
+  EXPECT_EQ(check_clamp(2e9, {inf, 1e8}), K::kMixed);
+  EXPECT_EQ(check_clamp(inf, {inf, 1e8, 0.0}), K::kAllCapped);
   // No capacity, or capacity at or under the reference's 1e-9 floor, or NaN:
   // the reference fills nothing, so every positive cap clamps to zero.
   for (const double capacity : {0.0, 1e-9, 5e-10, 1e-300, -1.0, nan}) {
-    EXPECT_EQ(check_verdict(capacity, pool({1e9, 1e-12, inf, 0.0, -3.0, nan})),
-              K::kAllShared)
+    EXPECT_EQ(check_clamp(capacity, {1e9, 1e-12, inf, 0.0, -3.0, nan}), K::kAllShared)
         << capacity;
   }
+  // Later rounds: the capped flows' caps leave the pool, in index order, and
+  // the survivors split what is left.
+  std::vector<double> cascade = {1e9, 2e9, 4e9};
+  FairShareScratch scratch;
+  unit_fill_clamp(6e9, cascade, scratch);
+  EXPECT_EQ(cascade, (std::vector<double>{1e9, 2e9, 3e9}));
   // A single flow: under, at and over the pool.
-  EXPECT_EQ(check_verdict(1e9, pool({5e8})), K::kAllCapped);
-  EXPECT_EQ(check_verdict(1e9, pool({1e9})), K::kAllCapped);
-  EXPECT_EQ(check_verdict(1e9, pool({2e9})), K::kAllShared);
-  EXPECT_EQ(unit_fill_round_one(1e9, pool({2e9})).share, 1e9);
+  EXPECT_EQ(check_clamp(1e9, {5e8}), K::kAllCapped);
+  EXPECT_EQ(check_clamp(1e9, {1e9}), K::kAllCapped);
+  EXPECT_EQ(check_clamp(1e9, {2e9}), K::kAllShared);
+  std::vector<double> one = {2e9};
+  unit_fill_clamp(1e9, one, scratch);
+  EXPECT_EQ(one[0], 1e9);
   // No flows at all.
-  EXPECT_EQ(check_verdict(1e9, {}), K::kAllCapped);
+  EXPECT_EQ(check_clamp(1e9, {}), K::kAllCapped);
 }
 
 }  // namespace
