@@ -221,6 +221,25 @@ TEST(Checkpoint, SerializationRoundTripIsBitExact) {
   EXPECT_EQ(via_memory.end_system_energy, via_journal.end_system_energy);
 }
 
+/// The run the reader tests corrupt: drops at 0.6 per second over two
+/// servers a side, cut at `deadline`.
+struct CutRun {
+  Environment env = small_env(2);
+  Dataset ds = mixed_dataset();
+  TransferPlan plan = one_chunk_plan(ds, 3);
+  FaultPlan faults;
+  CutRun() {
+    faults.stochastic.channel_drop_rate = 0.6;
+    faults.seed = 7;
+  }
+  [[nodiscard]] std::string journal(Seconds deadline) const {
+    const auto aborted = interrupted_run(env, ds, plan, deadline, faults);
+    std::ostringstream os;
+    if (aborted.checkpoint) write_checkpoint(os, *aborted.checkpoint);
+    return os.str();
+  }
+};
+
 TEST(Checkpoint, ReaderRejectsMalformedInput) {
   std::string err;
   {
@@ -241,12 +260,8 @@ TEST(Checkpoint, ReaderRejectsMalformedInput) {
   // A journal that parses but that no session could have written: resume
   // refuses it, one field at a time, and names the field. Each case goes
   // through the text format, whose reader accepts any number.
-  const auto env = small_env(2);
-  const auto ds = mixed_dataset();
-  const auto plan = one_chunk_plan(ds, 3);
-  FaultPlan faults;
-  faults.stochastic.channel_drop_rate = 0.6;
-  faults.seed = 7;
+  const CutRun cut;
+  const auto& [env, ds, plan, faults] = cut;
   const auto aborted = interrupted_run(env, ds, plan, 3.0, faults);
   ASSERT_TRUE(aborted.checkpoint.has_value());
   const auto resume = [&](const TransferCheckpoint& c, std::string* why) {
@@ -299,6 +314,92 @@ TEST(Checkpoint, ReaderRejectsMalformedInput) {
     EXPECT_FALSE(resume(c, &why)) << named;
     EXPECT_NE(why.find(named), std::string::npos) << why;
   }
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const auto& line : lines) out += line + '\n';
+  return out;
+}
+
+TEST(Checkpoint, SeededMutationsAreRefusedOrResumeCleanly) {
+  // Hostile bytes: each mutated journal is refused with a reason, by the
+  // reader or by resume_from, or it resumes into a run that lands the whole
+  // dataset. Anything else (a crash, a sanitizer report, a run that loses
+  // or invents bytes) is a reader bug.
+  const CutRun cut;
+  const std::string journal = cut.journal(3.0);
+  const auto other = split_lines(cut.journal(2.0));
+  ASSERT_FALSE(journal.empty());
+  ASSERT_FALSE(other.empty());
+  SessionConfig cfg;
+  cfg.max_sim_time = 600.0;  // the drop process otherwise runs for a week
+
+  Rng rng(20260611);
+  int refused = 0;
+  int resumed = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string text = journal;
+    auto lines = split_lines(text);
+    const auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+    };
+    switch (rng.uniform_int(0, 5)) {
+      case 0:  // flip a byte
+        text[pick(text.size())] ^= static_cast<char>(rng.uniform_int(1, 255));
+        break;
+      case 1:  // delete a byte
+        text.erase(pick(text.size()), 1);
+        break;
+      case 2: {  // duplicate a line
+        const std::size_t i = pick(lines.size());
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
+        text = join_lines(lines);
+        break;
+      }
+      case 3:  // drop a line
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(pick(lines.size())));
+        text = join_lines(lines);
+        break;
+      case 4:  // truncate
+        text.resize(pick(text.size()));
+        break;
+      default:  // splice in a line of a journal taken a second earlier
+        lines[pick(lines.size())] = other[pick(other.size())];
+        text = join_lines(lines);
+        break;
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + ":\n" + text);
+    std::istringstream in(text);
+    std::string why;
+    const auto parsed = read_checkpoint(in, &why);
+    if (!parsed) {
+      EXPECT_FALSE(why.empty());
+      ++refused;
+      continue;
+    }
+    TransferSession s(cut.env, cut.ds, cut.plan, cfg);
+    s.set_fault_plan(cut.faults);
+    if (!s.resume_from(*parsed, &why)) {
+      EXPECT_FALSE(why.empty());
+      ++refused;
+      continue;
+    }
+    const auto r = s.run();
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.goodput_bytes(), cut.ds.total_bytes());
+    ++resumed;
+  }
+  // Both outcomes are common, so neither half of the check is vacuous.
+  EXPECT_GT(refused, 100);
+  EXPECT_GT(resumed, 100);
 }
 
 TEST(Checkpoint, ResumeRefusesAForeignDataset) {
