@@ -6,7 +6,7 @@
 //     on sim::Simulation vs the reference std::map queue (same op sequence;
 //     the speedup figure is the PR-over-PR perf gate);
 //   * ticker_churn — re-arm fast path: many concurrent tickers firing;
-//   * fair_share_rounds — net::fair_share_into with a warmed scratch;
+//   * fair_share_rounds — net::fair_share_reference_into with a warmed scratch;
 //   * fair_share_waterfill_dist — net::WaterfillSolver dist mode at 10^6
 //     flows (10^5 under --quick) vs the per-flow reference loop on the same
 //     round, bitwise-checked before timing (its speedup is a CI tripwire);
@@ -258,7 +258,7 @@ exp::MicroSample bench_fair_share(int calls) {
   for (int i = 0; i < calls; ++i) {
     // Nudge the capacity per call so the loop cannot be folded away.
     const double cap = gbps(10.0) + static_cast<double>(i % 97);
-    acc += net::fair_share_into(cap, demands, alloc, scratch);
+    acc += net::fair_share_reference_into(cap, demands, alloc, scratch);
   }
   const double ms = ms_since(t0);
   g_sink = acc;

@@ -35,8 +35,7 @@ std::vector<Algorithm> figure_algorithms() {
 
 RunOutcome run_algorithm(Algorithm algorithm, const testbeds::Testbed& testbed,
                          const proto::Dataset& dataset, int max_channels,
-                         proto::SessionConfig config, proto::FaultPlan faults,
-                         const CheckpointSink& checkpoints) {
+                         proto::SessionConfig config, proto::FaultPlan faults) {
   RunOutcome out;
   out.algorithm = algorithm;
   out.concurrency = max_channels;
@@ -47,7 +46,6 @@ RunOutcome run_algorithm(Algorithm algorithm, const testbeds::Testbed& testbed,
                            proto::Controller* controller = nullptr) {
     proto::TransferSession s(env, dataset, std::move(plan), config);
     s.set_fault_plan(faults);
-    if (checkpoints) s.set_checkpoint_sink(checkpoints);
     return s.run(controller);
   };
   switch (algorithm) {
@@ -97,7 +95,7 @@ double SlaOutcome::shortfall_percent() const {
 SlaOutcome run_slaee(const testbeds::Testbed& testbed, const proto::Dataset& dataset,
                      double target_percent, BitsPerSecond max_throughput,
                      int max_channels, proto::SessionConfig config,
-                     proto::FaultPlan faults, const CheckpointSink& checkpoints) {
+                     proto::FaultPlan faults) {
   SlaOutcome out;
   out.target_percent = target_percent;
   out.target_throughput = max_throughput * target_percent / 100.0;
@@ -107,7 +105,6 @@ SlaOutcome run_slaee(const testbeds::Testbed& testbed, const proto::Dataset& dat
       testbed.env, dataset,
       core::plan_slaee(testbed.env, dataset, max_channels, decision_log(config)), config);
   session.set_fault_plan(std::move(faults));
-  if (checkpoints) session.set_checkpoint_sink(checkpoints);
   out.result = session.run(&controller);
   out.final_concurrency = controller.final_level();
   out.rearranged = controller.rearranged();

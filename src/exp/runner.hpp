@@ -3,7 +3,6 @@
 // and by the integration tests that assert the paper's qualitative claims.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,10 +31,6 @@ struct RunOutcome {
   [[nodiscard]] double ratio() const { return result.throughput_per_joule(); }
 };
 
-/// Receives the periodic/abort checkpoints of a run (see
-/// TransferSession::set_checkpoint_sink). Empty = no journal.
-using CheckpointSink = std::function<void(const proto::TransferCheckpoint&)>;
-
 /// Run `algorithm` at user concurrency `max_channels`.
 /// GUC and GO ignore `max_channels` (untunable), as in the paper.
 /// `faults` injects a failure workload; the default plan is inert.
@@ -43,8 +38,7 @@ using CheckpointSink = std::function<void(const proto::TransferCheckpoint&)>;
                                        const testbeds::Testbed& testbed,
                                        const proto::Dataset& dataset, int max_channels,
                                        proto::SessionConfig config = {},
-                                       proto::FaultPlan faults = {},
-                                       const CheckpointSink& checkpoints = {});
+                                       proto::FaultPlan faults = {});
 
 struct SlaOutcome {
   double target_percent = 0.0;         ///< requested % of max throughput
@@ -68,8 +62,7 @@ struct SlaOutcome {
                                    const proto::Dataset& dataset, double target_percent,
                                    BitsPerSecond max_throughput, int max_channels,
                                    proto::SessionConfig config = {},
-                                   proto::FaultPlan faults = {},
-                                   const CheckpointSink& checkpoints = {});
+                                   proto::FaultPlan faults = {});
 
 /// The concurrency levels the figures sweep.
 [[nodiscard]] std::vector<int> figure_concurrency_levels();  // {1,2,4,6,8,10,12}

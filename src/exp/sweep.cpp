@@ -123,11 +123,10 @@ SweepTaskResult execute_task(const SweepTask& task, std::size_t index) {
   const auto t0 = std::chrono::steady_clock::now();
   if (task.kind == SweepTask::Kind::kRun) {
     out.run = run_algorithm(task.algorithm, testbed, task.dataset, task.concurrency,
-                            config, std::move(faults), task.checkpoints);
+                            config, std::move(faults));
   } else {
     out.sla = run_slaee(testbed, task.dataset, task.target_percent, task.max_throughput,
-                        task.concurrency, config, std::move(faults),
-                        task.checkpoints);
+                        task.concurrency, config, std::move(faults));
   }
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)

@@ -72,10 +72,6 @@ struct SweepTask {
   /// and fault plan exactly as configured (figure-parity mode).
   std::uint64_t seed = 0;
 
-  /// Optional per-task checkpoint journal receiver. Called from the worker
-  /// executing this task; a sink shared across tasks must be thread-safe.
-  CheckpointSink checkpoints{};
-
   /// Slot sentinel: "use this task's submission index as the obs slot".
   static constexpr std::size_t kAutoSlot = static_cast<std::size_t>(-1);
 

@@ -89,16 +89,10 @@ void unit_fill_clamp(BitsPerSecond capacity, std::span<BitsPerSecond> caps,
   }
 }
 
-BitsPerSecond fair_share_into(BitsPerSecond capacity, std::span<const Demand> demands,
-                              std::vector<BitsPerSecond>& allocation,
-                              FairShareScratch& scratch) {
-  return fair_share_reference_into(capacity, demands, allocation, scratch);
-}
-
 FairShareResult fair_share(BitsPerSecond capacity, std::span<const Demand> demands) {
   FairShareResult out;
   FairShareScratch scratch;
-  out.total = fair_share_into(capacity, demands, out.allocation, scratch);
+  out.total = fair_share_reference_into(capacity, demands, out.allocation, scratch);
   return out;
 }
 
@@ -128,7 +122,7 @@ std::size_t LinkArbiter::submit_groups(std::span<const DemandGroup> groups) {
 }
 
 void LinkArbiter::allocate() {
-  total_ = fair_share_into(capacity_, demands_, allocation_, scratch_);
+  total_ = fair_share_reference_into(capacity_, demands_, allocation_, scratch_);
 }
 
 std::span<const BitsPerSecond> LinkArbiter::slice(std::size_t i) const {

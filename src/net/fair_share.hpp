@@ -23,21 +23,26 @@ struct FairShareResult {
   BitsPerSecond total = 0.0;              ///< sum of allocations
 };
 
-/// Reusable workspace for fair_share_into. The allocator runs every tick for
-/// every disk pool and the shared link; holding the progressive-filling
-/// active set here — capacity preserved across calls — makes steady-state
-/// allocation heap-free. A scratch is cheap state, not a cache: results are
+/// Reusable workspace for fair_share_reference_into and unit_fill_clamp. The
+/// allocator runs every tick for every disk pool and the shared link;
+/// holding the progressive-filling active set here — capacity preserved
+/// across calls — makes steady-state allocation heap-free. A scratch is cheap state, not a cache: results are
 /// identical whether it is fresh or reused.
 struct FairShareScratch {
   std::vector<std::size_t> active;
 };
 
 /// The pinned per-flow progressive-filling loop — the semantics every golden
-/// in the repo was recorded against, kept verbatim. fair_share_into runs it
-/// at every round size. WaterfillSolver is bitwise-equivalent to this on
-/// every input (enforced by tests/test_waterfill.cpp); the core_micro bench
-/// races the solver against it on a synthetic 10^5-10^6-flow cascade, but no
-/// product round calls the solver (MODEL.md §15).
+/// in the repo was recorded against, kept verbatim. Weighted max-min fair
+/// allocation of `capacity` across `demands`, written into `allocation`
+/// (resized to demands.size(); previous contents ignored); returns the total.
+/// Allocation-free once `allocation` and `scratch` have warmed to capacity.
+/// Every product round runs it, whatever its size: on the fleet's
+/// ~1,300-flow arbiter rounds it costs a fraction of the waterfill solver's
+/// ratio sort. WaterfillSolver is bitwise-equivalent to this on every input
+/// (enforced by tests/test_waterfill.cpp); the core_micro bench races the
+/// solver against it on a synthetic 10^5-10^6-flow cascade, but no product
+/// round calls the solver (MODEL.md §15).
 BitsPerSecond fair_share_reference_into(BitsPerSecond capacity,
                                         std::span<const Demand> demands,
                                         std::vector<BitsPerSecond>& allocation,
@@ -56,17 +61,6 @@ BitsPerSecond fair_share_reference_into(BitsPerSecond capacity,
 /// their value. Allocation-free once `scratch` has warmed to capacity.
 void unit_fill_clamp(BitsPerSecond capacity, std::span<BitsPerSecond> caps,
                      FairShareScratch& scratch);
-
-/// Weighted max-min fair allocation of `capacity` across `demands`, written
-/// into `allocation` (resized to demands.size(); previous contents ignored).
-/// Returns the total. Bitwise-identical to fair_share() — same values out,
-/// whatever the path — and allocation-free once `allocation` and `scratch`
-/// have warmed to capacity. Every round runs the reference loop: on the
-/// fleet's ~1,300-flow arbiter rounds it costs a fraction of the waterfill
-/// solver's ratio sort, so the solver earns no place on the product path.
-BitsPerSecond fair_share_into(BitsPerSecond capacity, std::span<const Demand> demands,
-                              std::vector<BitsPerSecond>& allocation,
-                              FairShareScratch& scratch);
 
 /// Round size perfbench's fleet replay counts as a waterfill-sized round.
 /// No library code dispatches on it; it goes when that replay drops its

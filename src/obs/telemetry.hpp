@@ -82,7 +82,6 @@ class TelemetryHub {
   TelemetryHub(double stride_s, std::size_t capacity, std::size_t site_count);
 
   [[nodiscard]] bool enabled() const noexcept { return stride_s_ > 0.0; }
-  [[nodiscard]] double stride_s() const noexcept { return stride_s_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
   [[nodiscard]] std::size_t site_count() const noexcept { return site_count_; }
 
@@ -159,7 +158,6 @@ class TickFlightRecorder {
     std::vector<FlightTick> ticks;  ///< oldest first
   };
 
-  [[nodiscard]] std::size_t ring_ticks() const noexcept { return ring_.size(); }
   [[nodiscard]] const std::vector<Dump>& dumps() const noexcept { return dumps_; }
   [[nodiscard]] std::uint64_t suppressed() const noexcept { return suppressed_; }
   [[nodiscard]] std::uint64_t triggers() const noexcept {

@@ -31,7 +31,6 @@ struct TransferSession::ObsState {
   obs::Counter* wire_bytes = nullptr;
   obs::Counter* goodput_bytes = nullptr;
   obs::Counter* retries = nullptr;
-  obs::Counter* checkpoint_writes = nullptr;
   obs::Counter* brownouts = nullptr;
   obs::Histogram* tick_goodput = nullptr;
   obs::Histogram* tick_power = nullptr;
@@ -655,7 +654,6 @@ void TransferSession::obs_begin_run() {
     st.wire_bytes = &m.counter("session.wire_bytes");
     st.goodput_bytes = &m.counter("session.goodput_bytes");
     st.retries = &m.counter("session.retries");
-    st.checkpoint_writes = &m.counter("session.checkpoint_writes");
     st.brownouts = &m.counter("session.path_brownouts");
     st.tick_goodput = &m.histogram(
         "session.tick_goodput_mbps",
@@ -802,15 +800,6 @@ void TransferSession::obs_sample(const SampleStats& s) {
     const double delta = dst_energy_[i].joules - st.dst_joules_prev[i];
     st.dst_joules_prev[i] = dst_energy_[i].joules;
     tb->counter(s.window_end, st.dst_power_names[i], d > 0.0 ? delta / d : 0.0);
-  }
-}
-
-void TransferSession::obs_checkpoint_write() {
-  if (obs_ == nullptr) return;
-  if (obs_->checkpoint_writes != nullptr) obs_->checkpoint_writes->add(1);
-  if (auto* tb = config_.obs->trace) {
-    tb->instant(abs_now(), obs::kControlTid, "checkpoint", "session",
-                {"bytes_moved", static_cast<double>(bytes_moved_)});
   }
 }
 
@@ -967,29 +956,20 @@ void TransferSession::rebuild_layout() {
     dst_threads_[ch.dst_server] += ch.parallelism;
   }
 
-  // With the per-server counts fixed, a channel's pre-duty cap is a function
-  // of (source server, destination server, parallelism) only. Packed
-  // placement and per-chunk parallelism make consecutive channels share
-  // that key, so the last value computed is reused.
+  // With the per-server counts fixed, a channel's pre-duty cap is the
+  // smallest of its TCP windows, both CPU shares and both storage ceilings.
   const BitsPerSecond window_cap = net::stream_window_cap(env_.path);
-  const Channel* cap_key = nullptr;
   for (auto& ch : channels_) {
     if (ch.down) continue;
-    if (cap_key == nullptr || ch.src_server != cap_key->src_server ||
-        ch.dst_server != cap_key->dst_server || ch.parallelism != cap_key->parallelism) {
-      const auto& src = env_.source.servers[ch.src_server];
-      const auto& dst = env_.destination.servers[ch.dst_server];
-      const BitsPerSecond cpu_src = host::channel_cpu_cap(
-          src, src_procs_[ch.src_server], src_threads_[ch.src_server], ch.parallelism);
-      const BitsPerSecond cpu_dst = host::channel_cpu_cap(
-          dst, dst_procs_[ch.dst_server], dst_threads_[ch.dst_server], ch.parallelism);
-      ch.base_cap = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu_src,
-                              cpu_dst, host::channel_stream_cap(src, ch.parallelism),
-                              host::channel_stream_cap(dst, ch.parallelism)});
-    } else {
-      ch.base_cap = cap_key->base_cap;
-    }
-    cap_key = &ch;
+    const auto& src = env_.source.servers[ch.src_server];
+    const auto& dst = env_.destination.servers[ch.dst_server];
+    const BitsPerSecond cpu_src = host::channel_cpu_cap(
+        src, src_procs_[ch.src_server], src_threads_[ch.src_server], ch.parallelism);
+    const BitsPerSecond cpu_dst = host::channel_cpu_cap(
+        dst, dst_procs_[ch.dst_server], dst_threads_[ch.dst_server], ch.parallelism);
+    ch.base_cap = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu_src,
+                            cpu_dst, host::channel_stream_cap(src, ch.parallelism),
+                            host::channel_stream_cap(dst, ch.parallelism)});
   }
 }
 
@@ -1131,7 +1111,8 @@ void TransferSession::allocate_rates() {
   // Brownouts scale the shared link; 1.0 outside any fault window.
   const BitsPerSecond capacity = env_.path.available_bandwidth() * path_factor_;
   auto& link_alloc = scratch_.link_alloc;
-  net::fair_share_into(capacity, scratch_.link_demands, link_alloc, scratch_.fair_share);
+  net::fair_share_reference_into(capacity, scratch_.link_demands, link_alloc,
+                                 scratch_.fair_share);
   const double eff = net::congestion_efficiency(env_.congestion, agg_demand_,
                                                 capacity, agg_streams_);
 
@@ -1282,13 +1263,6 @@ bool TransferSession::advance_commit() {
   const Seconds dt = config_.tick;
   const Joules tick_energy = pending_tick_energy_;
 
-  if (checkpoint_sink_ && config_.checkpoint_interval > 0.0 &&
-      sim_.now() - last_checkpoint_ >= config_.checkpoint_interval - 1e-9) {
-    last_checkpoint_ = sim_.now();
-    checkpoint_sink_(make_checkpoint());
-    obs_checkpoint_write();
-  }
-
   if (obs_ != nullptr) obs_tick(tick_energy, dt);
 
   // The ticker first fires at t = dt, so the firing at time t covers the
@@ -1342,7 +1316,6 @@ std::optional<std::string> TransferSession::begin(Controller* controller) {
   // below degenerates to the exact arithmetic of the single-session engine.
   start_time_ = sim_.now();
   window_start_ = sim_.now();
-  last_checkpoint_ = sim_.now();
   controller_ = controller;
   if (controller_ != nullptr) {
     if (const auto init = controller_->initial_concurrency(); init) {
@@ -1429,10 +1402,6 @@ RunResult TransferSession::finalize(bool completed, Seconds end_raw) {
   if (!completed) {
     // The abort checkpoint: the journal entry a resumed leg starts from.
     res.checkpoint = make_checkpoint();
-    if (checkpoint_sink_) {
-      checkpoint_sink_(*res.checkpoint);
-      obs_checkpoint_write();
-    }
   }
   res.sim_counters = sim_.counters();
   res.samples = std::move(samples_);

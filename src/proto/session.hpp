@@ -21,7 +21,6 @@
 
 #include <cmath>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -96,9 +95,6 @@ struct SessionConfig {
   Seconds tick = 0.1;
   Seconds sample_interval = 5.0;
   Seconds max_sim_time = 7.0 * 24 * 3600;  ///< hard stop; flags !completed
-  /// Emit a TransferCheckpoint to the registered sink every this many
-  /// simulated seconds (0 = only the final abort checkpoint).
-  Seconds checkpoint_interval = 0.0;
   /// Which net::PathSet entry this session's environment was built from.
   /// Pure identity: stamped into every checkpoint so a resumed leg knows
   /// which route the capturing leg ran on. 0 = primary / single-path.
@@ -175,7 +171,7 @@ class TransferSession : private FaultHost {
   /// per-channel rates. `alloc` must align with link_demands().
   void apply_link_allocation(std::span<const BitsPerSecond> alloc, double eff,
                              double burst_cap);
-  /// Tick phase 3: move bytes, account energy, emit checkpoints/samples.
+  /// Tick phase 3: move bytes, account energy, emit samples.
   /// Returns false once every queue is drained (the transfer is complete).
   /// Exactly advance_compute() followed by advance_commit(); a shared-
   /// simulation driver may call the halves itself to run many sessions'
@@ -187,14 +183,12 @@ class TransferSession : private FaultHost {
   /// never the shared Simulation, so disjoint sessions may run it
   /// concurrently with bit-identical results.
   void advance_compute();
-  /// Tick phase 3b — checkpoint emission, observability, sampling windows
-  /// and controller callbacks for the tick that advance_compute() just
-  /// produced. Reads the shared Simulation's clock and writes this session,
-  /// its controller, its obs sinks and, when set, the checkpoint sink.
-  /// Disjoint sessions may therefore commit concurrently when none has a
-  /// checkpoint sink and no two share a trace or decision log
-  /// (exp::Scheduler's sharded commit, MODEL.md §16). Returns false once
-  /// every queue is drained.
+  /// Tick phase 3b — observability, sampling windows and controller
+  /// callbacks for the tick that advance_compute() just produced. Reads the
+  /// shared Simulation's clock and writes this session, its controller and
+  /// its obs sinks. Disjoint sessions may therefore commit concurrently when
+  /// no two share a trace or decision log (exp::Scheduler's sharded commit,
+  /// MODEL.md §16). Returns false once every queue is drained.
   [[nodiscard]] bool advance_commit();
   /// Close the books at raw simulation clock `end_raw` and build the result
   /// (abort checkpoint included when `completed` is false). The session is
@@ -212,21 +206,15 @@ class TransferSession : private FaultHost {
   [[nodiscard]] int open_channel_count() const noexcept {
     return static_cast<int>(channels_.size());
   }
-  [[nodiscard]] Bytes dataset_bytes() const noexcept { return total_bytes_; }
   [[nodiscard]] const Environment& environment() const noexcept { return env_; }
 
   // --- checkpoint / resume ----------------------------------------------
 
   /// Snapshot durable progress right now (also valid after run() returned, or
-  /// before it started). The journal is keyed by file id, so it can seed a
-  /// resume under a *different* plan over the same dataset.
+  /// before it started, or from a Controller's on_sample). The journal is
+  /// keyed by file id, so it can seed a resume under a *different* plan over
+  /// the same dataset. An aborted run carries one in RunResult::checkpoint.
   [[nodiscard]] TransferCheckpoint make_checkpoint() const;
-
-  /// Receive the periodic journal entries (`SessionConfig::checkpoint_interval`)
-  /// plus the final entry of an aborted run. The sink must outlive run().
-  void set_checkpoint_sink(std::function<void(const TransferCheckpoint&)> sink) {
-    checkpoint_sink_ = std::move(sink);
-  }
 
   /// Continue an interrupted transfer: drop landed files from the queues,
   /// trim partially delivered files to their residual suffix, and restore the
@@ -250,7 +238,6 @@ class TransferSession : private FaultHost {
   /// MinE/SLAEE rule: cap the Large chunk's channels (nullopt removes the
   /// cap — SLAEE's reArrangeChannels).
   void set_large_chunk_cap(std::optional<int> cap);
-  [[nodiscard]] int total_concurrency_target() const noexcept { return target_concurrency_; }
   [[nodiscard]] Seconds now() const noexcept;
   [[nodiscard]] Bytes bytes_remaining() const noexcept;
   /// The observability sinks this session publishes into (null when off).
@@ -378,7 +365,6 @@ class TransferSession : private FaultHost {
   void obs_begin_run();
   void obs_tick(Joules tick_energy, Seconds dt);
   void obs_sample(const SampleStats& s);
-  void obs_checkpoint_write();
   void obs_lease_begin(Channel& ch);
   void obs_lease_end(Channel& ch, Seconds at);
   void obs_end_run(Seconds local_end, const RunResult& res);
@@ -437,8 +423,6 @@ class TransferSession : private FaultHost {
   /// Absolute transfer time already consumed by the legs this session resumed
   /// from; added to every reported time (samples, checkpoints, duration).
   Seconds time_offset_ = 0.0;
-  Seconds last_checkpoint_ = 0.0;  ///< local time of the last periodic emit
-  std::function<void(const TransferCheckpoint&)> checkpoint_sink_;
   Bytes total_bytes_ = 0;
   Bytes bytes_moved_ = 0;  ///< wire bytes (retransmissions included)
   Joules network_energy_ = 0.0;

@@ -424,24 +424,5 @@ TEST(Checkpoint, FingerprintIsOrderAndSizeSensitive) {
   EXPECT_EQ(dataset_fingerprint(a), dataset_fingerprint(dataset_of({1 * kMB, 2 * kMB})));
 }
 
-TEST(Checkpoint, PeriodicSinkEmitsMonotoneJournalEntries) {
-  const auto env = small_env();
-  const auto ds = mixed_dataset();
-  SessionConfig cfg;
-  cfg.checkpoint_interval = 1.0;
-  TransferSession s(env, ds, one_chunk_plan(ds, 3), cfg);
-  std::vector<TransferCheckpoint> entries;
-  s.set_checkpoint_sink([&](const TransferCheckpoint& c) { entries.push_back(c); });
-  const auto res = s.run();
-
-  ASSERT_TRUE(res.completed);
-  ASSERT_GE(entries.size(), 3u);
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    EXPECT_GT(entries[i].taken_at, entries[i - 1].taken_at);
-    EXPECT_GE(entries[i].delivered_bytes(ds), entries[i - 1].delivered_bytes(ds));
-    EXPECT_GE(entries[i].wire_bytes, entries[i - 1].wire_bytes);
-  }
-}
-
 }  // namespace
 }  // namespace eadt::proto

@@ -2,8 +2,11 @@
 // engine-level tests (integration tests use the real testbeds instead).
 #pragma once
 
+#include <vector>
+
 #include "proto/dataset.hpp"
 #include "proto/environment.hpp"
+#include "proto/session.hpp"
 
 namespace eadt::testutil {
 
@@ -50,5 +53,22 @@ inline proto::Dataset mixed_dataset() {
   ds.files.push_back({200 * kMB});
   return ds;
 }
+
+/// Journals a running session from the controller hook: make_checkpoint() at
+/// every `every`-th sampling window. Tests that need mid-run journal entries
+/// take them here; the engine itself journals only an aborted run
+/// (RunResult::checkpoint).
+class CheckpointTap final : public proto::Controller {
+ public:
+  explicit CheckpointTap(int every = 1) : every_(every) {}
+  void on_sample(proto::TransferSession& session, const proto::SampleStats&) override {
+    if (++windows_ % every_ == 0) entries.push_back(session.make_checkpoint());
+  }
+  std::vector<proto::TransferCheckpoint> entries;
+
+ private:
+  int every_;
+  int windows_ = 0;
+};
 
 }  // namespace eadt::testutil

@@ -125,13 +125,13 @@ TEST(FairShare, AllZeroWeightsAllocateNothing) {
 // Pin the all-zero-weight contract at fleet size: the active set is
 // non-empty but its weight sum is zero, so the waterlevel division must be
 // guarded — the round allocates nothing (no NaNs, no infinities) instead of
-// dividing by zero. Routed through fair_share_into and a full LinkArbiter
+// dividing by zero. Routed through fair_share_reference_into and a full LinkArbiter
 // round so the guard is checked where production traffic actually flows.
 TEST(FairShare, AllZeroWeightsAboveThresholdAllocateNothing) {
   std::vector<Demand> d(kWaterfillThreshold * 3, Demand{gbps(2.0), 0.0});
   FairShareScratch scratch;
   std::vector<BitsPerSecond> alloc;
-  const BitsPerSecond total = fair_share_into(gbps(40.0), d, alloc, scratch);
+  const BitsPerSecond total = fair_share_reference_into(gbps(40.0), d, alloc, scratch);
   EXPECT_DOUBLE_EQ(total, 0.0);
   for (double a : alloc) ASSERT_DOUBLE_EQ(a, 0.0);
 
@@ -169,7 +169,7 @@ TEST(FairShare, ScratchReuseIsBitwiseIdentical) {
     }
     const double capacity = rng.uniform(0.0, 1e10);
     const auto reference = fair_share(capacity, d);
-    const double total = fair_share_into(capacity, d, alloc, scratch);
+    const double total = fair_share_reference_into(capacity, d, alloc, scratch);
     ASSERT_EQ(alloc.size(), reference.allocation.size());
     for (std::size_t i = 0; i < alloc.size(); ++i) {
       ASSERT_EQ(alloc[i], reference.allocation[i]) << "round " << round << " ch " << i;

@@ -819,21 +819,21 @@ TEST(FuzzRobustness, FleetOutputDigestsArePinned) {
       decisions.write_json(d);
       EXPECT_EQ(hex_digest(scheduler_report_payload(run.report)), "447e27c34e35e5d0");
       EXPECT_EQ(export_digests(t, m, d),
-                "trace 5fbb349f2b65e759 metrics 82bacb23f726828e decisions 18ef9a9fa9270ed8");
+                "trace 5fbb349f2b65e759 metrics b1c91ee010773b51 decisions 18ef9a9fa9270ed8");
     }
     {
       obs::ObsCollector collector;
       const auto run = run_parallel_fleet(121, 100, jobs, false, &collector);
       EXPECT_EQ(hex_digest(scheduler_report_payload(run.report)), "f2f377513a5555b1");
       EXPECT_EQ(collector_digests(collector),
-                "trace 363c0ea64fe7e87b metrics 98af8b58ff21624e decisions 68f45416de89ffee");
+                "trace 363c0ea64fe7e87b metrics 2283108f2b6aa103 decisions 68f45416de89ffee");
     }
     {
       obs::ObsCollector collector;
       const auto run = run_parallel_fleet(141, 48, jobs, true, &collector, nullptr, true);
       EXPECT_EQ(hex_digest(scheduler_report_payload(run.report)), "da2e439f8b0b956e");
       EXPECT_EQ(collector_digests(collector),
-                "trace 42e02f1809d9bae3 metrics 45cb8826aecac787 decisions b60eaf0ca262a5a7");
+                "trace 42e02f1809d9bae3 metrics 5761a21da2806a1a decisions b60eaf0ca262a5a7");
     }
     const auto run = run_parallel_fleet(101, 120, jobs, /*multipath=*/true);
     EXPECT_EQ(hex_digest(scheduler_report_payload(run.report)), "d49e94f002e03d52");

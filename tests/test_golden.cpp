@@ -14,6 +14,7 @@
 #include "exp/scheduler.hpp"
 #include "exp/sweep.hpp"
 #include "proto/session.hpp"
+#include "test_env.hpp"
 #include "util/rng.hpp"
 
 namespace eadt::exp {
@@ -319,8 +320,9 @@ std::string result_dump(const proto::RunResult& r) {
 }
 
 TEST(GoldenPayload, ResumedLegIsPinned) {
-  // A periodic journal entry taken mid-run, written out, read back and
-  // resumed into a fresh session that runs the rest under channel drops.
+  // A journal entry taken mid-run (at t = 2 s, the second of every other
+  // 0.5 s window), written out, read back and resumed into a fresh session
+  // that runs the rest under channel drops.
   const auto xsede = testbeds::xsede();
   const auto ds = small_dataset(2000 * kMB, 20 * kMB, 400 * kMB, 45);
   const auto plan = baselines::plan_promc(xsede.env, ds, 8);
@@ -330,25 +332,21 @@ TEST(GoldenPayload, ResumedLegIsPinned) {
   faults.seed = 31;
   proto::SessionConfig cfg;
   cfg.sample_interval = 0.5;
-  cfg.checkpoint_interval = 1.0;
   cfg.max_sim_time = 600.0;
 
-  std::vector<proto::TransferCheckpoint> journal;
+  testutil::CheckpointTap journal(/*every=*/2);
   {
     proto::TransferSession first(xsede.env, ds, plan, cfg);
     first.set_fault_plan(faults);
-    first.set_checkpoint_sink(
-        [&](const proto::TransferCheckpoint& c) { journal.push_back(c); });
-    ASSERT_TRUE(first.run().completed);
+    ASSERT_TRUE(first.run(&journal).completed);
   }
-  ASSERT_GE(journal.size(), 2u);
+  ASSERT_GE(journal.entries.size(), 2u);
   std::stringstream text;
-  proto::write_checkpoint(text, journal[1]);
+  proto::write_checkpoint(text, journal.entries[1]);
   std::string err;
   const auto entry = proto::read_checkpoint(text, &err);
   ASSERT_TRUE(entry.has_value()) << err;
 
-  cfg.checkpoint_interval = 0.0;
   proto::TransferSession second(xsede.env, ds, plan, cfg);
   second.set_fault_plan(faults);
   ASSERT_TRUE(second.resume_from(*entry, &err)) << err;

@@ -277,21 +277,22 @@ TEST(Session, CompletedRunNeverReportsPastMaxSimTime) {
 TEST(Session, LongRunTickAccumulationStaysClamped) {
   // ~1200 re-arms of a 0.1 s ticker: now() drifts well above one ulp from
   // the nominal k*0.1 grid, so an unclamped finish time would exceed the
-  // deadline. Checkpoints must obey the same bound.
+  // deadline. Checkpoints, mid-run and at the abort, must obey the same bound.
   const auto env = small_env();
   const auto ds = dataset_of({20ULL * kGB, 20ULL * kGB});  // ~160 s each at 1 Gbps
   SessionConfig cfg;
   cfg.tick = 0.1;
   cfg.max_sim_time = 120.0;
-  cfg.checkpoint_interval = 7.3;
+  cfg.sample_interval = 7.3;
   TransferSession s(env, ds, one_chunk_plan(ds, 1), cfg);
-  std::vector<Seconds> stamps;
-  s.set_checkpoint_sink([&](const TransferCheckpoint& c) { stamps.push_back(c.taken_at); });
-  const auto r = s.run();
+  testutil::CheckpointTap tap;
+  const auto r = s.run(&tap);
   EXPECT_FALSE(r.completed);
   EXPECT_DOUBLE_EQ(r.duration, 120.0);
-  ASSERT_FALSE(stamps.empty());
-  for (const Seconds t : stamps) EXPECT_LE(t, cfg.max_sim_time);
+  ASSERT_FALSE(tap.entries.empty());
+  for (const auto& c : tap.entries) EXPECT_LE(c.taken_at, cfg.max_sim_time);
+  ASSERT_TRUE(r.checkpoint.has_value());
+  EXPECT_LE(r.checkpoint->taken_at, cfg.max_sim_time);
 }
 
 TEST(Session, EnergySplitsAcrossBothEndpoints) {

@@ -204,8 +204,8 @@ TEST(Waterfill, DegenerateInputsMatchReference) {
 // The division-by-zero guard: every active demand has zero weight, so the
 // round's weight sum is zero. The reference breaks out (allocating nothing)
 // instead of dividing; the solver must do exactly the same — no NaNs, no
-// infinities, zero total. Checked well above the fair_share_into threshold
-// so the waterfill path (not the reference) is what's exercised.
+// infinities, zero total. Checked well above the old kWaterfillThreshold,
+// in the solver and in the reference loop the product runs.
 TEST(Waterfill, AllZeroWeightsAtScaleAllocateNothing) {
   std::vector<Demand> d(2000, Demand{gbps(1.0), 0.0});
   WaterfillSolver solver;
@@ -215,7 +215,7 @@ TEST(Waterfill, AllZeroWeightsAtScaleAllocateNothing) {
   for (double a : alloc) ASSERT_EQ(a, 0.0);
 
   FairShareScratch scratch;
-  const BitsPerSecond via_into = fair_share_into(gbps(100.0), d, alloc, scratch);
+  const BitsPerSecond via_into = fair_share_reference_into(gbps(100.0), d, alloc, scratch);
   EXPECT_EQ(via_into, 0.0);
   for (double a : alloc) ASSERT_EQ(a, 0.0);
   check_scalar(gbps(100.0), d, solver, "all-zero weights at scale");
@@ -285,11 +285,11 @@ TEST(Waterfill, CertifiedPathEngagesOnSeparatedGrids) {
   check_dist(0.35 * cap_sum, groups, solver, "separated grid");
 }
 
-// --- integration with fair_share_into and the arbiter --------------------
+// --- integration with the reference loop and the arbiter -----------------
 
-// fair_share_into runs the reference loop at every size; around the old
-// kWaterfillThreshold seam it must still agree bitwise with fair_share() on
-// the same input.
+// The product runs the reference loop at every size, with a scratch reused
+// across rounds; around the old kWaterfillThreshold seam it must still agree
+// bitwise with fair_share() (a fresh scratch) on the same input.
 TEST(Waterfill, FairShareIntoDispatchIsSeamlessAcrossThreshold) {
   Rng rng(0xD15B);
   FairShareScratch scratch;
@@ -302,7 +302,7 @@ TEST(Waterfill, FairShareIntoDispatchIsSeamlessAcrossThreshold) {
     }
     const double capacity = rng.uniform(1e8, 1e12);
     const auto ref = fair_share(capacity, d);
-    const double total = fair_share_into(capacity, d, alloc, scratch);
+    const double total = fair_share_reference_into(capacity, d, alloc, scratch);
     ASSERT_EQ(total, ref.total) << "n=" << n;
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(alloc[i], ref.allocation[i]) << "n=" << n << " flow " << i;
