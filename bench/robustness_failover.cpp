@@ -177,9 +177,6 @@ int main(int argc, char** argv) {
     outage.supervision.max_attempts = 6;
     outage.supervision.degrade_after = 4;  // keep the ladder out of the story
     outage.supervision.paths = paths2;
-    // The monitor must cross suspicion within one aborted attempt's worth of
-    // stalled windows; the default threshold is tuned for tick-cadence feeds.
-    outage.supervision.health.suspect_phi = 0.45;
     // Dense sample windows so the stall is observed many times before the
     // watchdog fires, at any --scale.
     outage.config.sample_interval = std::max(T_fast / 48.0, 1e-3);

@@ -5,21 +5,20 @@
 
 namespace eadt::exp {
 
-HealthMonitor::HealthMonitor(int n_paths, HealthMonitorConfig cfg)
-    : cfg_(cfg), state_(static_cast<std::size_t>(std::max(0, n_paths))) {}
+HealthMonitor::HealthMonitor(int n_paths)
+    : state_(static_cast<std::size_t>(std::max(0, n_paths))) {}
 
-double HealthMonitor::fault_phi_at(const PathState& s, Seconds at) const {
+double HealthMonitor::fault_phi_at(const PathState& s, Seconds at) {
   if (s.fault_phi <= 0.0) return 0.0;
   const Seconds dt = std::max(0.0, at - s.fault_at);
-  if (cfg_.fault_halflife <= 0.0) return 0.0;
-  return s.fault_phi * std::exp2(-dt / cfg_.fault_halflife);
+  return s.fault_phi * std::exp2(-dt / kFaultHalflife);
 }
 
 void HealthMonitor::observe_goodput(int path, Seconds at, double fraction) {
   if (path < 0 || path >= paths()) return;
   auto& s = state_[static_cast<std::size_t>(path)];
   fraction = std::min(1.0, std::max(0.0, fraction));
-  s.ewma_fraction += cfg_.ewma_alpha * (fraction - s.ewma_fraction);
+  s.ewma_fraction += kEwmaAlpha * (fraction - s.ewma_fraction);
   now_ = std::max(now_, at);
 }
 
@@ -27,30 +26,16 @@ void HealthMonitor::observe_fault(int path, Seconds at, double weight) {
   if (path < 0 || path >= paths()) return;
   auto& s = state_[static_cast<std::size_t>(path)];
   // Bring the decaying accumulator current, then add the new demerit.
-  s.fault_phi = fault_phi_at(s, at) + cfg_.fault_weight * std::max(0.0, weight);
+  s.fault_phi = fault_phi_at(s, at) + kFaultWeight * std::max(0.0, weight);
   s.fault_at = std::max(s.fault_at, at);
   now_ = std::max(now_, at);
 }
 
 double HealthMonitor::phi(int path) const {
-  if (path < 0 || path >= paths()) return cfg_.fail_phi;
+  if (path < 0 || path >= paths()) return kFailPhi;
   const auto& s = state_[static_cast<std::size_t>(path)];
-  const double frac = std::max(cfg_.min_fraction, s.ewma_fraction);
+  const double frac = std::max(kMinFraction, s.ewma_fraction);
   return -std::log10(frac) + fault_phi_at(s, now_);
-}
-
-int HealthMonitor::healthiest(int exclude) const {
-  int best = -1;
-  double best_phi = 0.0;
-  for (int p = 0; p < paths(); ++p) {
-    if (p == exclude) continue;
-    const double v = phi(p);
-    if (best == -1 || v < best_phi) {
-      best = p;
-      best_phi = v;
-    }
-  }
-  return best;
 }
 
 }  // namespace eadt::exp

@@ -12,7 +12,7 @@
 //
 // A path delivering its expected goodput sits at phi ~ 0; one delivering 10%
 // scores ~1; a hard outage pushes phi past any sane fail threshold within a
-// few windows. Fault demerits decay with a configurable half-life of
+// few windows. Fault demerits decay with a fixed half-life of
 // *simulated* time, so a path that flapped a minute ago looks better than one
 // flapping now.
 //
@@ -33,26 +33,27 @@ struct HealthMonitorConfig {
   /// phi at or above which a path counts as suspect. Nothing reads it:
   /// placement moves every dispatch to the lowest-phi path with headroom
   /// whatever the threshold, so suspicion is a reading of phi, not a rule.
-  /// Kept so configurations that set it still compile.
+  /// Kept because perfbench's failover workload still sets it.
   double suspect_phi = 1.0;
-  /// phi at or above which a path is treated as failed for placement.
-  double fail_phi = 3.0;
-  /// EWMA weight of the newest goodput window (higher = faster reaction).
-  double ewma_alpha = 0.2;
-  /// Goodput fractions are clamped up to this floor before the log, bounding
-  /// phi's goodput term at -log10(floor) even through a total outage.
-  double min_fraction = 1e-4;
-  /// phi added per unit of fault weight.
-  double fault_weight = 0.5;
-  /// Simulated-time half-life of accumulated fault demerits.
-  Seconds fault_halflife = 30.0;
 };
 
 /// Suspicion scores for a fixed set of paths (index-aligned with the job's
 /// net::PathSet). See file comment for the model.
 class HealthMonitor {
  public:
-  HealthMonitor(int n_paths, HealthMonitorConfig cfg = {});
+  /// phi at or above which a path is treated as failed for placement.
+  static constexpr double kFailPhi = 3.0;
+  /// EWMA weight of the newest goodput window (higher = faster reaction).
+  static constexpr double kEwmaAlpha = 0.2;
+  /// Goodput fractions are clamped up to this floor before the log, bounding
+  /// phi's goodput term at -log10(floor) = 4 even through a total outage.
+  static constexpr double kMinFraction = 1e-4;
+  /// phi added per unit of fault weight.
+  static constexpr double kFaultWeight = 0.5;
+  /// Simulated-time half-life of accumulated fault demerits.
+  static constexpr Seconds kFaultHalflife = 30.0;
+
+  explicit HealthMonitor(int n_paths);
 
   /// One goodput window on `path` ending at simulated time `at`:
   /// `fraction` = achieved / expected goodput, clamped to [0, 1].
@@ -64,14 +65,7 @@ class HealthMonitor {
 
   [[nodiscard]] int paths() const noexcept { return static_cast<int>(state_.size()); }
   [[nodiscard]] double phi(int path) const;
-  [[nodiscard]] bool failed(int path) const { return phi(path) >= cfg_.fail_phi; }
-
-  /// Lowest-phi path, excluding `exclude` (pass -1 to exclude none); ties go
-  /// to the lowest index so the choice is deterministic. Returns -1 when no
-  /// candidate exists.
-  [[nodiscard]] int healthiest(int exclude = -1) const;
-
-  [[nodiscard]] const HealthMonitorConfig& config() const noexcept { return cfg_; }
+  [[nodiscard]] bool failed(int path) const { return phi(path) >= kFailPhi; }
 
  private:
   struct PathState {
@@ -80,9 +74,8 @@ class HealthMonitor {
     Seconds fault_at = 0.0;      ///< sim time fault_phi was last brought current
   };
 
-  [[nodiscard]] double fault_phi_at(const PathState& s, Seconds at) const;
+  [[nodiscard]] static double fault_phi_at(const PathState& s, Seconds at);
 
-  HealthMonitorConfig cfg_;
   std::vector<PathState> state_;
   Seconds now_ = 0.0;  ///< latest observation time, for phi() queries
 };

@@ -175,20 +175,19 @@ struct LadderState {
   int aborts_at_point = 0;
 
   /// Register one abort at the current operating point. When the policy's
-  /// tolerance is spent, steps down one rung — first lower channels, then
-  /// the kGreen fallback — and reports which rung was taken; nullopt when
-  /// the ladder held position (tolerance remaining, or already at bottom).
+  /// tolerance is spent, steps down one rung — first halve channels (floored;
+  /// a cap of two or more never halves below one), then the kGreen fallback
+  /// — and reports which rung was taken; nullopt when the ladder held
+  /// position (tolerance remaining, or already at bottom).
   std::optional<RecoveryAction> on_abort(const SupervisorPolicy& p) {
     ++aborts_at_point;
     if (aborts_at_point < p.degrade_after) return std::nullopt;
-    if (channels > p.min_channels) {
-      const int next = std::max(p.min_channels,
-                                static_cast<int>(std::floor(channels * p.channel_step)));
-      channels = next < channels ? next : channels - 1;
+    if (channels > 1) {
+      channels /= 2;
       aborts_at_point = 0;
       return RecoveryAction::kReduceChannels;
     }
-    if (p.policy_fallback && policy != JobPolicy::kGreen) {
+    if (policy != JobPolicy::kGreen) {
       policy = JobPolicy::kGreen;
       aborts_at_point = 0;
       return RecoveryAction::kPolicyFallback;
@@ -1111,7 +1110,7 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
   path_running_peak_.assign(n, 0.0);
   path_link_factor_.assign(n, 1.0);
   path_round_.assign(n, PathRound{});
-  health_ = std::make_unique<HealthMonitor>(n, policy_.health);
+  health_ = std::make_unique<HealthMonitor>(n);
   peak_power_gauge_ = nullptr;
   path_phi_gauge_.clear();
   tenants_.clear();

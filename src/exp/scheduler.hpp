@@ -101,7 +101,7 @@ struct SchedulerPolicy {
   /// Per-attempt watchdogs, the degradation ladder and the hedged tail race
   /// (exp/supervisor.hpp). attempt_deadline 0 leaves only the horizon guard.
   /// Its `paths` and `health` do nothing here: alternates set there get no
-  /// failover and no warning. Set `paths` and `health` below.
+  /// failover and no warning. Set `paths` below.
   SupervisorPolicy supervision;
   /// Longest a scavenger start may be shifted toward the tariff's cheapest
   /// band (simulated seconds). 0 disables deferral.
@@ -124,8 +124,6 @@ struct SchedulerPolicy {
   /// health series and brownouts aimed at a path index >= 1 have nothing to
   /// act on.
   net::PathSet paths;
-  /// Health scoring for placement and migration.
-  HealthMonitorConfig health;
   /// Per-path (per-site) power caps in watts, index-aligned with `paths`;
   /// a missing or zero entry falls back to `power_cap`. When `power_cap` is
   /// also set it additionally bounds the *sum* across all paths.

@@ -48,7 +48,6 @@ JobOutcome TransferService::run_job(const TransferJob& job) const {
   SupervisorPolicy& sup = policy.supervision;
   if (sup.attempt_deadline <= 0.0) sup.attempt_deadline = config_.max_sim_time;
   policy.paths = sup.paths;
-  policy.health = sup.health;
   // A leg runs at most a tick past its deadline: the horizon never cuts a
   // job the watchdog would still retry.
   policy.horizon = (sup.max_attempts + 1) * (sup.attempt_deadline + config_.tick);

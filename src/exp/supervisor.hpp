@@ -4,8 +4,8 @@
 // A job's operating point is not fixed at submission. Each attempt runs
 // under a deadline watchdog; an aborted attempt leaves a TransferCheckpoint
 // journal entry and is resumed from it (landed bytes are never re-paid);
-// repeated aborts step the job down a degradation ladder — first lower
-// `max_channels`, then a policy fallback to kGreen (MinE's
+// repeated aborts step the job down a degradation ladder — first halve
+// `max_channels`, down to one, then a policy fallback to kGreen (MinE's
 // single-channel-biased minimum-energy plan) — until the job completes or
 // its retry budget is spent. exp::Scheduler runs this loop for every tenant,
 // and exp::TransferService runs each job as the only tenant of its own
@@ -106,22 +106,20 @@ struct SupervisorPolicy {
   /// TransferService reads 0 as the session's own max_sim_time.
   Seconds attempt_deadline = 0.0;
   int max_attempts = 4;  ///< total attempts (first run included)
-  /// Aborts tolerated at one operating point before the ladder steps down.
+  /// Aborts tolerated at one operating point before the ladder steps down:
+  /// a step halves the channel cap (floored, never below one), and once the
+  /// cap is one the last step falls back to kGreen.
   int degrade_after = 1;
-  /// Channel-cap multiplier per kReduceChannels step (floored, min below).
-  double channel_step = 0.5;
-  int min_channels = 1;
-  /// Allow the final rung: fall back to kGreen once channels bottom out.
-  bool policy_fallback = true;
 
   // --- Path resilience (appended so positional aggregate initializers of the
   // pre-resilience fields keep compiling).
   /// Alternate routes for this testbed's endpoint pair (index 0 = primary).
-  /// TransferService copies this and `health` into its schedule's
-  /// SchedulerPolicy. Set on SchedulerPolicy::supervision they do nothing:
-  /// a Scheduler reads only SchedulerPolicy::paths and ::health.
+  /// TransferService copies this into its schedule's SchedulerPolicy. Set on
+  /// SchedulerPolicy::supervision it does nothing: a Scheduler reads only
+  /// SchedulerPolicy::paths.
   net::PathSet paths;
-  /// Health scoring for placement and migration.
+  /// Read by nothing (see HealthMonitorConfig); perfbench's failover
+  /// workload still sets it.
   HealthMonitorConfig health;
   /// Finish deadline (absolute transfer seconds). When > 0, `hedge` is set,
   /// the schedule has alternates, and a watchdog abort's projected finish
