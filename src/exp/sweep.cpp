@@ -204,6 +204,8 @@ namespace {
 
 /// Round-trip-exact decimal (17 significant digits): equal doubles always
 /// print identically, so the JSON payload inherits the engine's determinism.
+/// Not util/json's shortest form: the committed golden records are written
+/// in this one.
 std::string jnum(double v) {
   std::ostringstream os;
   os << std::setprecision(17) << v;

@@ -1,30 +1,11 @@
 #include "obs/decision.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "util/json.hpp"
 
 namespace eadt::obs {
-namespace {
-
-std::string jnum(double v) {
-  if (!std::isfinite(v)) return "0";
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << v;
-    std::istringstream is(os.str());
-    double back = 0.0;
-    is >> back;
-    if (back == v) return os.str();
-  }
-  return "0";
-}
-
-}  // namespace
 
 std::string_view to_string(DecisionKind kind) noexcept {
   switch (kind) {
@@ -61,7 +42,7 @@ void write_decision_json(std::ostream& os, const Decision& d, std::size_t slot,
     write_json_string(os, *task);
     os << ", ";
   }
-  os << "\"t\": " << jnum(d.at) << ", \"kind\": ";
+  os << "\"t\": " << json_number(d.at) << ", \"kind\": ";
   write_json_string(os, to_string(d.kind));
   os << ", \"actor\": ";
   write_json_string(os, d.actor);
@@ -70,8 +51,8 @@ void write_decision_json(std::ostream& os, const Decision& d, std::size_t slot,
   os << ", \"detail\": ";
   write_json_string(os, d.detail);
   os << ", \"level\": " << d.level << ", \"chosen\": " << d.chosen
-     << ", \"measured_mbps\": " << jnum(d.measured_mbps)
-     << ", \"target_mbps\": " << jnum(d.target_mbps) << ", \"ratio\": " << jnum(d.ratio)
+     << ", \"measured_mbps\": " << json_number(d.measured_mbps)
+     << ", \"target_mbps\": " << json_number(d.target_mbps) << ", \"ratio\": " << json_number(d.ratio)
      << "}";
 }
 

@@ -2,33 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "util/json.hpp"
 
 namespace eadt::obs {
-namespace {
-
-/// Shortest round-trip decimal for a double, matching the bench-record
-/// writer's convention so one value always serializes the same way.
-std::string jnum(double v) {
-  if (!std::isfinite(v)) return "0";
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << v;
-    std::istringstream is(os.str());
-    double back = 0.0;
-    is >> back;
-    if (back == v) return os.str();
-  }
-  return "0";
-}
-
-std::string indent_of(int n) { return std::string(static_cast<std::size_t>(n), ' '); }
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {}
@@ -132,9 +110,9 @@ double histogram_quantile(const MetricSnapshot& h, double q) noexcept {
 
 void write_metrics_object(std::ostream& os, const std::vector<MetricSnapshot>& metrics,
                           int base_indent, std::string_view schema) {
-  const std::string outer = indent_of(base_indent);
-  const std::string inner = indent_of(base_indent + 2);
-  const std::string item = indent_of(base_indent + 4);
+  const std::string outer = json_indent(base_indent);
+  const std::string inner = json_indent(base_indent + 2);
+  const std::string item = json_indent(base_indent + 4);
 
   os << "{\n";
   bool first_section = true;
@@ -167,16 +145,16 @@ void write_metrics_object(std::ostream& os, const std::vector<MetricSnapshot>& m
   open_section("counters");
   each(MetricSnapshot::Kind::kCounter, [&](const MetricSnapshot& m) { os << m.count; });
   open_section("gauges");
-  each(MetricSnapshot::Kind::kGauge, [&](const MetricSnapshot& m) { os << jnum(m.value); });
+  each(MetricSnapshot::Kind::kGauge, [&](const MetricSnapshot& m) { os << json_number(m.value); });
   open_section("histograms");
   each(MetricSnapshot::Kind::kHistogram, [&](const MetricSnapshot& m) {
     os << "{\"bounds\": [";
     for (std::size_t i = 0; i < m.bounds.size(); ++i) {
-      os << (i ? ", " : "") << jnum(m.bounds[i]);
+      os << (i ? ", " : "") << json_number(m.bounds[i]);
     }
     os << "], \"buckets\": [";
     for (std::size_t i = 0; i < m.buckets.size(); ++i) os << (i ? ", " : "") << m.buckets[i];
-    os << "], \"count\": " << m.count << ", \"sum\": " << jnum(m.value) << "}";
+    os << "], \"count\": " << m.count << ", \"sum\": " << json_number(m.value) << "}";
   });
   os << "\n" << outer << "}";
 }

@@ -6,30 +6,15 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstring>
-#include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace eadt::obs {
 namespace {
-
-/// Shortest round-trip decimal, the same convention as every other exporter
-/// in the tree — equal doubles always render to equal text.
-std::string jnum(double v) {
-  if (!std::isfinite(v)) return "0";
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << v;
-    std::istringstream is(os.str());
-    double back = 0.0;
-    is >> back;
-    if (back == v) return os.str();
-  }
-  return "0";
-}
 
 [[nodiscard]] bool valid_start(char c) noexcept {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' || c == ':';
@@ -167,13 +152,13 @@ void write_openmetrics(std::ostream& os, const std::vector<MetricSnapshot>& metr
         case MetricSnapshot::Kind::kGauge:
           os << family.name;
           write_label_block(os, family, m, nullptr);
-          os << ' ' << jnum(m.value) << '\n';
+          os << ' ' << json_number(m.value) << '\n';
           break;
         case MetricSnapshot::Kind::kHistogram: {
           std::uint64_t cum = 0;
           for (std::size_t i = 0; i < m.bounds.size(); ++i) {
             cum += i < m.buckets.size() ? m.buckets[i] : 0;
-            const std::string le = jnum(m.bounds[i]);
+            const std::string le = json_number(m.bounds[i]);
             os << family.name << "_bucket";
             write_label_block(os, family, m, &le);
             os << ' ' << cum << '\n';
@@ -184,7 +169,7 @@ void write_openmetrics(std::ostream& os, const std::vector<MetricSnapshot>& metr
           os << ' ' << m.count << '\n';
           os << family.name << "_sum";
           write_label_block(os, family, m, nullptr);
-          os << ' ' << jnum(m.value) << '\n';
+          os << ' ' << json_number(m.value) << '\n';
           os << family.name << "_count";
           write_label_block(os, family, m, nullptr);
           os << ' ' << m.count << '\n';

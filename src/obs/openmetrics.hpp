@@ -20,8 +20,9 @@
 //     only takes the registry's structural mutex for the snapshot walk.
 //
 // Rendering is deterministic: the snapshot is name-sorted per family and
-// numbers use the shortest-round-trip convention shared by every exporter,
-// so two snapshots of equal state render byte-identically.
+// numbers use the obs exporters' shortest-round-trip convention
+// (json_number, util/json.hpp), so two snapshots of equal state render
+// byte-identically.
 #pragma once
 
 #include <atomic>

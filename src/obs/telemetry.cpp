@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <iomanip>
 #include <ostream>
 #include <sstream>
 
@@ -12,23 +10,6 @@
 namespace eadt::obs {
 namespace {
 
-/// Shortest round-trip decimal for a double, matching the bench-record
-/// writer's convention so one value always serializes the same way.
-std::string jnum(double v) {
-  if (!std::isfinite(v)) return "0";
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << v;
-    std::istringstream is(os.str());
-    double back = 0.0;
-    is >> back;
-    if (back == v) return os.str();
-  }
-  return "0";
-}
-
-std::string indent_of(int n) { return std::string(static_cast<std::size_t>(n), ' '); }
-
 void size_sample(TelemetrySample& s, std::size_t sites) {
   s.site_power_w.assign(sites, 0.0);
   s.site_cap_w.assign(sites, 0.0);
@@ -36,33 +17,33 @@ void size_sample(TelemetrySample& s, std::size_t sites) {
 }
 
 void write_sample(std::ostream& os, const TelemetrySample& s, const std::string& pad) {
-  os << pad << "{\"t\": " << jnum(s.t)
+  os << pad << "{\"t\": " << json_number(s.t)
      << ", \"running\": " << s.running << ", \"queued\": " << s.queued
      << ", \"deferred\": " << s.deferred << ", \"channels\": " << s.channels
      << ", \"shed\": " << s.shed
      << ", \"preempted\": " << s.preempted << ", \"migrated\": " << s.migrated
      << ", \"completed\": " << s.completed << ", \"failed\": " << s.failed
-     << ", \"power_w\": " << jnum(s.power_w) << ", \"cap_w\": " << jnum(s.cap_w)
-     << ", \"headroom_w\": " << jnum(std::max(0.0, s.cap_w - s.power_w));
+     << ", \"power_w\": " << json_number(s.power_w) << ", \"cap_w\": " << json_number(s.cap_w)
+     << ", \"headroom_w\": " << json_number(std::max(0.0, s.cap_w - s.power_w));
   os << ", \"class_running\": [";
   for (std::size_t i = 0; i < s.class_running.size(); ++i) {
     os << (i ? ", " : "") << s.class_running[i];
   }
   os << "], \"class_burn\": [";
   for (std::size_t i = 0; i < s.class_burn.size(); ++i) {
-    os << (i ? ", " : "") << jnum(s.class_burn[i]);
+    os << (i ? ", " : "") << json_number(s.class_burn[i]);
   }
   os << "], \"site_power_w\": [";
   for (std::size_t i = 0; i < s.site_power_w.size(); ++i) {
-    os << (i ? ", " : "") << jnum(s.site_power_w[i]);
+    os << (i ? ", " : "") << json_number(s.site_power_w[i]);
   }
   os << "], \"site_cap_w\": [";
   for (std::size_t i = 0; i < s.site_cap_w.size(); ++i) {
-    os << (i ? ", " : "") << jnum(s.site_cap_w[i]);
+    os << (i ? ", " : "") << json_number(s.site_cap_w[i]);
   }
   os << "], \"site_phi\": [";
   for (std::size_t i = 0; i < s.site_phi.size(); ++i) {
-    os << (i ? ", " : "") << jnum(s.site_phi[i]);
+    os << (i ? ", " : "") << json_number(s.site_phi[i]);
   }
   os << "]}";
 }
@@ -123,15 +104,15 @@ const TelemetrySample& TelemetryHub::sample(std::size_t i) const {
 }
 
 void TelemetryHub::write_json(std::ostream& os, int base_indent) const {
-  const std::string outer = indent_of(base_indent);
-  const std::string inner = indent_of(base_indent + 2);
-  const std::string item = indent_of(base_indent + 4);
+  const std::string outer = json_indent(base_indent);
+  const std::string inner = json_indent(base_indent + 2);
+  const std::string item = json_indent(base_indent + 4);
   const std::size_t n = size();
   const std::uint64_t dropped = seen_ - static_cast<std::uint64_t>(n);
 
   os << "{\n";
   os << inner << "\"schema\": \"eadt-telemetry-v1\",\n";
-  os << inner << "\"stride_s\": " << jnum(stride_s_) << ",\n";
+  os << inner << "\"stride_s\": " << json_number(stride_s_) << ",\n";
   os << inner << "\"sites\": " << site_count_ << ",\n";
   os << inner << "\"samples_seen\": " << seen_ << ",\n";
   os << inner << "\"samples_dropped\": " << dropped << ",\n";
@@ -180,10 +161,10 @@ void TickFlightRecorder::trigger(std::string_view reason, double t) {
 }
 
 void TickFlightRecorder::write_json(std::ostream& os, int base_indent) const {
-  const std::string outer = indent_of(base_indent);
-  const std::string inner = indent_of(base_indent + 2);
-  const std::string item = indent_of(base_indent + 4);
-  const std::string tick_pad = indent_of(base_indent + 6);
+  const std::string outer = json_indent(base_indent);
+  const std::string inner = json_indent(base_indent + 2);
+  const std::string item = json_indent(base_indent + 4);
+  const std::string tick_pad = json_indent(base_indent + 6);
 
   os << "{\n";
   os << inner << "\"schema\": \"eadt-flightrec-v1\",\n";
@@ -194,13 +175,13 @@ void TickFlightRecorder::write_json(std::ostream& os, int base_indent) const {
     const Dump& dump = dumps_[d];
     os << (d ? ",\n" : "\n") << item << "{\"reason\": ";
     write_json_string(os, dump.reason);
-    os << ", \"t\": " << jnum(dump.t) << ", \"ticks\": [";
+    os << ", \"t\": " << json_number(dump.t) << ", \"ticks\": [";
     for (std::size_t i = 0; i < dump.ticks.size(); ++i) {
       const FlightTick& ft = dump.ticks[i];
-      os << (i ? ",\n" : "\n") << tick_pad << "{\"t\": " << jnum(ft.t)
+      os << (i ? ",\n" : "\n") << tick_pad << "{\"t\": " << json_number(ft.t)
          << ", \"running\": " << ft.running << ", \"queued\": " << ft.queued
-         << ", \"deferred\": " << ft.deferred << ", \"power_w\": " << jnum(ft.power_w)
-         << ", \"cap_w\": " << jnum(ft.cap_w)
+         << ", \"deferred\": " << ft.deferred << ", \"power_w\": " << json_number(ft.power_w)
+         << ", \"cap_w\": " << json_number(ft.cap_w)
          << ", \"watchdog_aborts\": " << ft.watchdog_aborts
          << ", \"cap_violations\": " << ft.cap_violations << "}";
     }

@@ -1,34 +1,17 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "util/json.hpp"
 
 namespace eadt::obs {
 namespace {
 
-/// Shortest round-trip decimal (same convention as the bench-record writer).
-std::string jnum(double v) {
-  if (!std::isfinite(v)) return "0";
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << v;
-    std::istringstream is(os.str());
-    double back = 0.0;
-    is >> back;
-    if (back == v) return os.str();
-  }
-  return "0";
-}
-
 void write_event_prefix(std::ostream& os, bool& first, char phase, int pid, int tid,
                         Seconds t) {
   os << (first ? "\n" : ",\n") << "    {\"ph\": \"" << phase << "\", \"pid\": " << pid
-     << ", \"tid\": " << tid << ", \"ts\": " << jnum(t * 1e6);
+     << ", \"tid\": " << tid << ", \"ts\": " << json_number(t * 1e6);
   first = false;
 }
 
@@ -38,7 +21,7 @@ void write_args(std::ostream& os, const std::array<TraceArg, 3>& args) {
     if (a.key == nullptr) continue;
     os << (any ? ", " : ", \"args\": {");
     write_json_string(os, a.key);
-    os << ": " << jnum(a.value);
+    os << ": " << json_number(a.value);
     any = true;
   }
   if (any) os << "}";

@@ -1,8 +1,11 @@
 #include "util/json.hpp"
 
 #include <array>
+#include <cmath>
 #include <cstdio>
+#include <iomanip>
 #include <ostream>
+#include <sstream>
 
 namespace eadt {
 namespace {
@@ -59,5 +62,20 @@ std::string json_escape(std::string_view s) {
 void write_json_string(std::ostream& os, std::string_view s) {
   os << '"' << json_escape(s) << '"';
 }
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "0";
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::ostringstream os;
+    os << std::setprecision(precision) << v;
+    std::istringstream is(os.str());
+    double back = 0.0;
+    is >> back;
+    if (back == v) return os.str();
+  }
+  return "0";
+}
+
+std::string json_indent(int n) { return std::string(static_cast<std::size_t>(n), ' '); }
 
 }  // namespace eadt

@@ -1,4 +1,5 @@
-// JSON string escaping, shared by every exporter in the tree.
+// JSON string escaping, shared by every exporter in the tree, and the number
+// and indent helpers the obs exporters share.
 //
 // The repo hand-writes its JSON (bench records, traces, metrics) instead of
 // pulling in a serialization library, which means every writer must agree on
@@ -20,5 +21,14 @@ namespace eadt {
 
 /// Write `s` to `os` as a complete JSON string literal, quotes included.
 void write_json_string(std::ostream& os, std::string_view s);
+
+/// Shortest decimal that reads back as `v` (the obs exporters' convention:
+/// equal doubles always render to equal text); "0" for NaN and infinities.
+/// The bench-record writer (exp::write_bench_json) prints max_digits10
+/// instead.
+[[nodiscard]] std::string json_number(double v);
+
+/// `n` spaces.
+[[nodiscard]] std::string json_indent(int n);
 
 }  // namespace eadt
