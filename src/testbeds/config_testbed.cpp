@@ -1,5 +1,7 @@
 #include "testbeds/config_testbed.hpp"
 
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 namespace eadt::testbeds {
@@ -13,11 +15,113 @@ std::optional<net::DeviceKind> device_kind_from_name(std::string_view name) {
   return std::nullopt;
 }
 
+/// The values one numeric key accepts: [lo, hi], or (lo, hi] when `open_lo`.
+struct Range {
+  double lo = 0.0;
+  double hi = 0.0;
+  bool open_lo = false;
+
+  /// False for NaN, which fails every comparison.
+  [[nodiscard]] bool holds(double v) const {
+    return (open_lo ? v > lo : v >= lo) && v <= hi;
+  }
+  [[nodiscard]] std::string text() const {
+    std::ostringstream os;
+    os << (open_lo ? '(' : '[') << lo << ", " << hi << ']';
+    return os.str();
+  }
+};
+
+constexpr Range at_least_zero(double hi) { return {0.0, hi, false}; }
+constexpr Range above_zero(double hi) { return {0.0, hi, true}; }
+constexpr double kMaxGbps = 1e5;      // 100 Tbps
+constexpr double kMaxWatts = 1e5;
+constexpr double kMaxFactor = 1e3;    // model slopes and coefficients
+constexpr double kMaxBytes = 0x1p50;  // 1 PiB
+
+/// Reads a testbed's keys and keeps the first refusal. A numeric value must
+/// parse whole, be finite and lie in its key's range, so hostile text (NaN,
+/// infinities, a zero that stalls every channel, negatives, 1e300, garbage)
+/// stops the build with an error naming its section and key instead of
+/// building a testbed whose transfer cannot move a byte.
+class KeyReader {
+ public:
+  explicit KeyReader(const Config& cfg) : cfg_(cfg) {}
+
+  [[nodiscard]] double real(std::string_view section, std::string_view key,
+                            double fallback, Range range) {
+    const auto text = cfg_.get(section, key);
+    if (!text) return fallback;
+    const auto v = number(*text);
+    if (!v || !range.holds(*v)) {
+      refuse(section, key, *text, "must be a number in " + range.text());
+      return fallback;
+    }
+    return *v;
+  }
+
+  /// Rounded to the nearest whole number, as Config::get_int does.
+  [[nodiscard]] int whole(std::string_view section, std::string_view key, int fallback,
+                          Range range) {
+    const auto text = cfg_.get(section, key);
+    if (!text) return fallback;
+    const auto v = number(*text);
+    if (!v || !range.holds(std::round(*v))) {
+      refuse(section, key, *text, "must be a whole number in " + range.text());
+      return fallback;
+    }
+    return static_cast<int>(std::round(*v));
+  }
+
+  [[nodiscard]] Bytes size(std::string_view section, std::string_view key, Bytes fallback,
+                           Range range) {
+    const auto text = cfg_.get(section, key);
+    if (!text) return fallback;
+    const auto v = parse_size(*text);
+    if (!v || !range.holds(static_cast<double>(*v))) {
+      refuse(section, key, *text, "must be a size in " + range.text() + " bytes");
+      return fallback;
+    }
+    return *v;
+  }
+
+  /// Record a refusal of `section`'s `key` (its value `text`) unless one is
+  /// already held.
+  void refuse(std::string_view section, std::string_view key, std::string_view text,
+              const std::string& why) {
+    if (!error_.empty()) return;
+    error_ = std::string(section) + ": " + std::string(key) + " = '" + std::string(text) +
+             "': " + why;
+  }
+
+  /// True when nothing was refused; otherwise copies the first refusal into
+  /// *error (when non-null).
+  [[nodiscard]] bool ok(std::string* error) const {
+    if (error_.empty()) return true;
+    if (error != nullptr) *error = error_;
+    return false;
+  }
+
+  /// The whole of `text` as a finite number.
+  [[nodiscard]] static std::optional<double> number(const std::string& text) {
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || !trim(end).empty() || !std::isfinite(v)) {
+      return std::nullopt;
+    }
+    return v;
+  }
+
+ private:
+  const Config& cfg_;
+  std::string error_;
+};
+
 /// Read one endpoint. `section` is "source" or "destination"; the shared
 /// "[endpoint]" section provides cross-side defaults, and the built-in XSEDE
 /// DTN is the template underneath.
-bool fill_endpoint(const Config& cfg, const std::string& section,
-                   proto::Endpoint& endpoint, std::string* error) {
+void fill_endpoint(const Config& cfg, KeyReader& in, const std::string& section,
+                   proto::Endpoint& endpoint) {
   auto key = [&](std::string_view k) -> std::string_view {
     // Per-side section wins over the shared [endpoint] section.
     return cfg.has(section, k) ? std::string_view(section) : std::string_view("endpoint");
@@ -25,49 +129,50 @@ bool fill_endpoint(const Config& cfg, const std::string& section,
   const Testbed reference = xsede();
   host::ServerSpec tmpl = reference.env.source.servers.front();
   tmpl.name = cfg.get_string(key("site"), "site", section);
-  tmpl.cores = cfg.get_int(key("cores"), "cores", tmpl.cores);
-  tmpl.cpu_tdp = cfg.get_double(key("tdp_watts"), "tdp_watts", tmpl.cpu_tdp);
-  tmpl.nic_speed = gbps(cfg.get_double(key("nic_gbps"), "nic_gbps",
-                                       to_gbps(tmpl.nic_speed)));
-  tmpl.mem_total = cfg.get_size(key("mem"), "mem", tmpl.mem_total);
+  tmpl.cores = in.whole(key("cores"), "cores", tmpl.cores, {1.0, 4096.0});
+  tmpl.cpu_tdp =
+      in.real(key("tdp_watts"), "tdp_watts", tmpl.cpu_tdp, above_zero(kMaxWatts));
+  tmpl.nic_speed = gbps(in.real(key("nic_gbps"), "nic_gbps", to_gbps(tmpl.nic_speed),
+                                above_zero(kMaxGbps)));
+  tmpl.mem_total = in.size(key("mem"), "mem", tmpl.mem_total, {1.0, kMaxBytes});
 
-  const std::string disk_kind =
-      cfg.get_string(key("disk"), "disk", "parallel");
+  const std::string disk_kind = cfg.get_string(key("disk"), "disk", "parallel");
   if (disk_kind == "parallel") {
     tmpl.disk.kind = host::DiskKind::kParallelArray;
   } else if (disk_kind == "single") {
     tmpl.disk.kind = host::DiskKind::kSingleDisk;
   } else {
-    if (error != nullptr) *error = section + ": unknown disk kind '" + disk_kind + "'";
-    return false;
+    in.refuse(key("disk"), "disk", disk_kind, "unknown disk kind (parallel or single)");
   }
-  tmpl.disk.max_bandwidth = gbps(cfg.get_double(key("disk_gbps"), "disk_gbps",
-                                                to_gbps(tmpl.disk.max_bandwidth)));
-  tmpl.disk.ramp = cfg.get_double(key("disk_ramp"), "disk_ramp", tmpl.disk.ramp);
-  tmpl.disk.thrash_alpha =
-      cfg.get_double(key("disk_thrash"), "disk_thrash", tmpl.disk.thrash_alpha);
+  tmpl.disk.max_bandwidth = gbps(in.real(key("disk_gbps"), "disk_gbps",
+                                         to_gbps(tmpl.disk.max_bandwidth),
+                                         above_zero(kMaxGbps)));
+  tmpl.disk.ramp =
+      in.real(key("disk_ramp"), "disk_ramp", tmpl.disk.ramp, at_least_zero(kMaxFactor));
+  tmpl.disk.thrash_alpha = in.real(key("disk_thrash"), "disk_thrash",
+                                   tmpl.disk.thrash_alpha, at_least_zero(kMaxFactor));
 
-  tmpl.per_core_goodput = gbps(cfg.get_double(key("per_core_gbps"), "per_core_gbps",
-                                              to_gbps(tmpl.per_core_goodput)));
-  tmpl.per_stream_disk = gbps(cfg.get_double(key("per_stream_gbps"), "per_stream_gbps",
-                                             to_gbps(tmpl.per_stream_disk)));
-  tmpl.proc_base_util =
-      cfg.get_double(key("proc_base_util"), "proc_base_util", tmpl.proc_base_util);
-  tmpl.util_per_gbps =
-      cfg.get_double(key("util_per_gbps"), "util_per_gbps", tmpl.util_per_gbps);
-  tmpl.util_contention =
-      cfg.get_double(key("util_contention"), "util_contention", tmpl.util_contention);
-  tmpl.cs_alpha = cfg.get_double(key("cs_alpha"), "cs_alpha", tmpl.cs_alpha);
-  tmpl.cs_util_per_thread = cfg.get_double(key("cs_util_per_thread"),
-                                           "cs_util_per_thread", tmpl.cs_util_per_thread);
+  tmpl.per_core_goodput = gbps(in.real(key("per_core_gbps"), "per_core_gbps",
+                                       to_gbps(tmpl.per_core_goodput),
+                                       above_zero(kMaxGbps)));
+  // 0 disables the per-stream storage ceiling.
+  tmpl.per_stream_disk = gbps(in.real(key("per_stream_gbps"), "per_stream_gbps",
+                                      to_gbps(tmpl.per_stream_disk),
+                                      at_least_zero(kMaxGbps)));
+  tmpl.proc_base_util = in.real(key("proc_base_util"), "proc_base_util",
+                                tmpl.proc_base_util, at_least_zero(1.0));
+  tmpl.util_per_gbps = in.real(key("util_per_gbps"), "util_per_gbps", tmpl.util_per_gbps,
+                               at_least_zero(kMaxFactor));
+  tmpl.util_contention = in.real(key("util_contention"), "util_contention",
+                                 tmpl.util_contention, at_least_zero(kMaxFactor));
+  tmpl.cs_alpha = in.real(key("cs_alpha"), "cs_alpha", tmpl.cs_alpha,
+                          at_least_zero(kMaxFactor));
+  tmpl.cs_util_per_thread = in.real(key("cs_util_per_thread"), "cs_util_per_thread",
+                                    tmpl.cs_util_per_thread, at_least_zero(1.0));
 
   const int servers =
-      cfg.get_int(key("servers"), "servers",
-                  static_cast<int>(reference.env.source.servers.size()));
-  if (servers < 1 || servers > 64) {
-    if (error != nullptr) *error = section + ": servers must be in [1, 64]";
-    return false;
-  }
+      in.whole(key("servers"), "servers",
+               static_cast<int>(reference.env.source.servers.size()), {1.0, 64.0});
   endpoint.site = tmpl.name;
   endpoint.servers.clear();
   for (int i = 0; i < servers; ++i) {
@@ -80,52 +185,56 @@ bool fill_endpoint(const Config& cfg, const std::string& section,
   auto pkey = [&](std::string_view k) -> std::string_view {
     return cfg.has(psec, k) ? std::string_view(psec) : std::string_view("power");
   };
+  const Range watts = at_least_zero(kMaxWatts);
   power::PowerCoefficients pc = xsede().env.source.power;
-  pc.cpu_scale = cfg.get_double(pkey("cpu_scale"), "cpu_scale", pc.cpu_scale);
-  pc.mem = cfg.get_double(pkey("mem_watts"), "mem_watts", pc.mem);
-  pc.disk = cfg.get_double(pkey("disk_watts"), "disk_watts", pc.disk);
-  pc.nic = cfg.get_double(pkey("nic_watts"), "nic_watts", pc.nic);
-  pc.active_base = cfg.get_double(pkey("active_base_watts"), "active_base_watts",
-                                  pc.active_base);
+  pc.cpu_scale = in.real(pkey("cpu_scale"), "cpu_scale", pc.cpu_scale, watts);
+  pc.mem = in.real(pkey("mem_watts"), "mem_watts", pc.mem, watts);
+  pc.disk = in.real(pkey("disk_watts"), "disk_watts", pc.disk, watts);
+  pc.nic = in.real(pkey("nic_watts"), "nic_watts", pc.nic, watts);
+  pc.active_base =
+      in.real(pkey("active_base_watts"), "active_base_watts", pc.active_base, watts);
   endpoint.power = pc;
-  return true;
 }
 
 }  // namespace
 
 std::optional<Testbed> testbed_from_config(const Config& cfg, std::string* error) {
   Testbed t = xsede();  // template defaults
+  KeyReader in(cfg);
 
   t.env.name = cfg.get_string("testbed", "name", "custom-testbed");
   t.default_max_channels =
-      cfg.get_int("testbed", "max_channels", t.default_max_channels);
-  t.dataset_seed = static_cast<std::uint64_t>(
-      cfg.get_int("testbed", "seed", static_cast<int>(t.dataset_seed)));
+      in.whole("testbed", "max_channels", t.default_max_channels, {1.0, 512.0});
+  t.dataset_seed = static_cast<std::uint64_t>(in.whole(
+      "testbed", "seed", static_cast<int>(t.dataset_seed), {0.0, 2147483647.0}));
 
-  t.env.path.bandwidth =
-      gbps(cfg.get_double("path", "bandwidth_gbps", to_gbps(t.env.path.bandwidth)));
-  t.env.path.rtt = cfg.get_double("path", "rtt_ms", t.env.path.rtt * 1000.0) / 1000.0;
-  t.env.path.tcp_buffer = cfg.get_size("path", "buffer", t.env.path.tcp_buffer);
-  t.env.path.mtu = cfg.get_size("path", "mtu", t.env.path.mtu);
-  if (t.env.path.bandwidth <= 0.0 || t.env.path.rtt < 0.0) {
-    if (error != nullptr) *error = "path: bandwidth must be > 0 and rtt >= 0";
-    return std::nullopt;
-  }
+  t.env.path.bandwidth = gbps(in.real("path", "bandwidth_gbps",
+                                      to_gbps(t.env.path.bandwidth),
+                                      above_zero(kMaxGbps)));
+  t.env.path.rtt =
+      in.real("path", "rtt_ms", t.env.path.rtt * 1000.0, at_least_zero(1e4)) / 1000.0;
+  t.env.path.tcp_buffer = in.size("path", "buffer", t.env.path.tcp_buffer,
+                                  {static_cast<double>(kKB), kMaxBytes});
+  // IPv4's floor and ceiling; 0 would make the route's packet energy vanish.
+  t.env.path.mtu = in.size("path", "mtu", t.env.path.mtu, {68.0, 65535.0});
 
-  t.env.congestion.loss_beta =
-      cfg.get_double("congestion", "loss_beta", t.env.congestion.loss_beta);
-  t.env.congestion.stream_knee =
-      cfg.get_int("congestion", "stream_knee", t.env.congestion.stream_knee);
-  t.env.congestion.stream_beta =
-      cfg.get_double("congestion", "stream_beta", t.env.congestion.stream_beta);
+  t.env.congestion.loss_beta = in.real("congestion", "loss_beta",
+                                       t.env.congestion.loss_beta,
+                                       at_least_zero(kMaxFactor));
+  // A knee of 0 switches the per-stream term off, like a beta of 0.
+  t.env.congestion.stream_knee = in.whole("congestion", "stream_knee",
+                                          t.env.congestion.stream_knee, {0.0, 1e6});
+  t.env.congestion.stream_beta = in.real("congestion", "stream_beta",
+                                         t.env.congestion.stream_beta,
+                                         at_least_zero(kMaxFactor));
 
   t.env.warm_fraction =
-      cfg.get_double("tuning", "warm_fraction", t.env.warm_fraction);
+      in.real("tuning", "warm_fraction", t.env.warm_fraction, at_least_zero(1.0));
   t.env.per_file_cost =
-      cfg.get_double("tuning", "per_file_cost_s", t.env.per_file_cost);
+      in.real("tuning", "per_file_cost_s", t.env.per_file_cost, at_least_zero(3600.0));
 
-  if (!fill_endpoint(cfg, "source", t.env.source, error)) return std::nullopt;
-  if (!fill_endpoint(cfg, "destination", t.env.destination, error)) return std::nullopt;
+  fill_endpoint(cfg, in, "source", t.env.source);
+  fill_endpoint(cfg, in, "destination", t.env.destination);
 
   if (cfg.has("route", "devices")) {
     std::vector<net::NetworkDevice> devices;
@@ -133,8 +242,8 @@ std::optional<Testbed> testbed_from_config(const Config& cfg, std::string* error
     for (const auto& name : cfg.get_list("route", "devices")) {
       const auto kind = device_kind_from_name(name);
       if (!kind) {
-        if (error != nullptr) *error = "route: unknown device kind '" + name + "'";
-        return std::nullopt;
+        in.refuse("route", "devices", name, "unknown device kind");
+        break;
       }
       devices.push_back({*kind, name + "-" + std::to_string(index++)});
     }
@@ -145,7 +254,8 @@ std::optional<Testbed> testbed_from_config(const Config& cfg, std::string* error
     t.dataset_listing_path = cfg.get_string("dataset", "listing", "");
     proto::DatasetRecipe recipe;
     recipe.name = cfg.get_string("dataset", "name", t.env.name + "-dataset");
-    recipe.total_bytes = cfg.get_size("dataset", "total", t.recipe.total_bytes);
+    recipe.total_bytes =
+        in.size("dataset", "total", t.recipe.total_bytes, {1.0, kMaxBytes});
     if (cfg.has("dataset", "bands")) {
       double share_sum = 0.0;
       for (const auto& band_text : cfg.get_list("dataset", "bands")) {
@@ -154,33 +264,31 @@ std::optional<Testbed> testbed_from_config(const Config& cfg, std::string* error
         const std::size_t c2 = c1 == std::string::npos ? std::string::npos
                                                        : band_text.find(':', c1 + 1);
         if (c2 == std::string::npos) {
-          if (error != nullptr) {
-            *error = "dataset: band '" + band_text + "' is not min:max:share";
-          }
-          return std::nullopt;
+          in.refuse("dataset", "bands", band_text, "a band is min:max:share");
+          break;
         }
         const auto min_size = parse_size(band_text.substr(0, c1));
         const auto max_size = parse_size(band_text.substr(c1 + 1, c2 - c1 - 1));
-        const double share = std::strtod(band_text.c_str() + c2 + 1, nullptr);
+        const auto share = KeyReader::number(band_text.substr(c2 + 1));
         if (!min_size || !max_size || *min_size == 0 || *max_size < *min_size ||
-            share <= 0.0) {
-          if (error != nullptr) {
-            *error = "dataset: malformed band '" + band_text + "'";
-          }
-          return std::nullopt;
+            !share || !above_zero(1.0).holds(*share)) {
+          in.refuse("dataset", "bands", band_text,
+                    "malformed band (0 < min <= max, share in (0, 1])");
+          break;
         }
-        recipe.bands.push_back({*min_size, *max_size, share});
-        share_sum += share;
+        recipe.bands.push_back({*min_size, *max_size, *share});
+        share_sum += *share;
       }
       if (share_sum < 0.99 || share_sum > 1.01) {
-        if (error != nullptr) *error = "dataset: band shares must sum to 1";
-        return std::nullopt;
+        in.refuse("dataset", "bands", cfg.get_string("dataset", "bands", ""),
+                  "band shares must sum to 1");
       }
     } else {
       recipe.bands = t.recipe.bands;
     }
     t.recipe = std::move(recipe);
   }
+  if (!in.ok(error)) return std::nullopt;
   return t;
 }
 

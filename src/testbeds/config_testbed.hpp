@@ -1,5 +1,5 @@
 // Build a Testbed from an INI configuration, so users can define their own
-// environments without recompiling. Every key falls back to a sensible
+// environments without recompiling. Every absent key falls back to a sensible
 // default (the XSEDE-like template), so a minimal file is enough:
 //
 //   [testbed]
@@ -30,7 +30,10 @@
 
 namespace eadt::testbeds {
 
-/// Build from a parsed Config. On failure returns nullopt and fills *error.
+/// Build from a parsed Config. On failure returns nullopt and fills *error
+/// with "<section>: <key> = '<value>': <reason>" for the first value refused:
+/// a number that does not parse whole, is not finite or is outside its key's
+/// range, an unknown disk or device kind, or a malformed dataset band.
 [[nodiscard]] std::optional<Testbed> testbed_from_config(const Config& config,
                                                          std::string* error = nullptr);
 

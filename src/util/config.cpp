@@ -47,7 +47,7 @@ std::optional<Bytes> parse_size(std::string_view text) {
   const std::string num(t.substr(0, i));
   char* end = nullptr;
   const double value = std::strtod(num.c_str(), &end);
-  if (end == num.c_str() || value < 0.0) return std::nullopt;
+  if (end == num.c_str() || *end != '\0' || value < 0.0) return std::nullopt;
   const std::string suffix = lower(trim(t.substr(i)));
   double mult = 1.0;
   if (suffix.empty() || suffix == "b") {
@@ -63,7 +63,11 @@ std::optional<Bytes> parse_size(std::string_view text) {
   } else {
     return std::nullopt;
   }
-  return static_cast<Bytes>(std::llround(value * mult));
+  // A byte count past 2^63 has no exact integer form (and llround would
+  // leave it unspecified); such a size is malformed input like any other.
+  const double bytes = value * mult;
+  if (!(bytes < 0x1p63)) return std::nullopt;
+  return static_cast<Bytes>(std::llround(bytes));
 }
 
 std::optional<Config> Config::parse(std::string_view text, std::string* error) {

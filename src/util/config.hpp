@@ -60,7 +60,8 @@ class Config {
 };
 
 /// "32MB" -> bytes; suffix optional (bare number = bytes); fractional values
-/// allowed ("1.5GB"). Returns nullopt on malformed input.
+/// allowed ("1.5GB"). Returns nullopt on malformed input, a size of 2^63
+/// bytes or more included.
 [[nodiscard]] std::optional<Bytes> parse_size(std::string_view text);
 
 /// Trim ASCII whitespace from both ends.

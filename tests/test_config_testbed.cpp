@@ -1,10 +1,14 @@
 #include "testbeds/config_testbed.hpp"
 
 #include "exp/runner.hpp"
+#include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <sstream>
+#include <vector>
 
 namespace eadt::testbeds {
 namespace {
@@ -189,6 +193,127 @@ TEST(ConfigTestbed, ConfiguredTestbedRunsEndToEnd) {
       eadt::exp::run_algorithm(eadt::exp::Algorithm::kProMc, *t, ds, 4);
   EXPECT_TRUE(out.result.completed);
   EXPECT_EQ(out.result.bytes, ds.total_bytes());
+}
+
+/// One key line of an INI text: where it sits and what it sets.
+struct KeyLine {
+  std::size_t line = 0;
+  std::string section;
+  std::string key;
+};
+
+std::vector<KeyLine> key_lines(const std::vector<std::string>& lines) {
+  std::vector<KeyLine> out;
+  std::string section;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string_view line = trim(lines[i]);
+    if (!line.empty() && line.front() == '[') {
+      section = std::string(trim(line.substr(1, line.find(']') - 1)));
+    } else if (const auto eq = line.find('='); eq != std::string_view::npos) {
+      out.push_back({i, section, std::string(trim(line.substr(0, eq)))});
+    }
+  }
+  return out;
+}
+
+// Hostile numbers in an INI testbed are refused with an error that names
+// their section and key. First the eight values an unvalidated reader took
+// (five of them then ran a transfer to its guard without moving a byte, and
+// mtu = 0 zeroed network energy), then seeded mutations of the reference
+// config: NaN, infinities, zero, negatives, 1e300 and garbage swapped into
+// values, and lines dropped or duplicated. A mutant that is not refused must
+// build a testbed whose short run returns finite numbers and conserves bytes.
+TEST(ConfigTestbed, SeededMutationsAreRefusedByNameOrRunCleanly) {
+  const std::pair<const char*, const char*> hostile[] = {
+      {"path", "bandwidth_gbps = nan"}, {"path", "rtt_ms = inf"},
+      {"endpoint", "cores = 0"},         {"endpoint", "disk_gbps = -5"},
+      {"path", "mtu = 0"},               {"path", "buffer = 0"},
+      {"tuning", "warm_fraction = nan"}, {"endpoint", "per_core_gbps = nan"},
+  };
+  for (const auto& [section, line] : hostile) {
+    const std::string_view text(line);
+    const std::string key(trim(text.substr(0, text.find('='))));
+    std::string err;
+    EXPECT_FALSE(testbed_from_config(
+                     parse_or_die(std::string("[") + section + "]\n" + line + "\n"), &err)
+                     .has_value())
+        << line;
+    EXPECT_EQ(err.rfind(std::string(section) + ": " + key + " = '", 0), 0u) << err;
+  }
+
+  std::vector<std::string> reference;
+  {
+    std::istringstream in(testbed_config_reference());
+    for (std::string line; std::getline(in, line);) reference.push_back(line);
+  }
+  const auto keys = key_lines(reference);
+  ASSERT_GE(keys.size(), 40u);
+  const char* const values[] = {"nan", "-nan", "inf",     "-inf", "0",  "-5",
+                                "-0.5", "1e300", "-1e300", "garbage", "12abc", ""};
+  proto::Dataset ds;
+  for (int i = 1; i <= 8; ++i) ds.files.push_back({static_cast<Bytes>(i) * 4 * kMB});
+  proto::SessionConfig run_config;
+  run_config.max_sim_time = 3.0;
+
+  constexpr int kMutants = 1500;
+  Rng rng(0x1F17E57);
+  int refused = 0;
+  int ran = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::vector<std::string> lines = reference;
+    const KeyLine* swapped = nullptr;
+    const auto kind = rng.uniform_int(0, 3);
+    if (kind <= 1) {
+      swapped = &keys[rng.uniform_int(0, keys.size() - 1)];
+      std::string& line = lines[swapped->line];
+      line = line.substr(0, line.find('=') + 1) + " " +
+             values[rng.uniform_int(0, std::size(values) - 1)];
+    } else {
+      const auto at = static_cast<std::ptrdiff_t>(rng.uniform_int(0, lines.size() - 1));
+      if (kind == 2) {
+        lines.erase(lines.begin() + at);
+      } else {
+        lines.insert(lines.begin() + at, lines[static_cast<std::size_t>(at)]);
+      }
+    }
+    std::string text;
+    for (const auto& line : lines) text += line + "\n";
+    SCOPED_TRACE("mutant " + std::to_string(m) + ":\n" + text);
+
+    std::string err;
+    const auto cfg = Config::parse(text, &err);
+    const auto tb = cfg ? testbed_from_config(*cfg, &err) : std::nullopt;
+    if (!tb) {
+      ++refused;
+      if (!cfg) {  // e.g. the first header dropped: the parser names the line
+        EXPECT_EQ(err.rfind("line ", 0), 0u) << err;
+        continue;
+      }
+      // Drops and duplicates leave every value valid, so only a swap is refused
+      // here, and by the swapped line's own section and key.
+      ASSERT_NE(swapped, nullptr) << err;
+      EXPECT_EQ(err.rfind(swapped->section + ": " + swapped->key + " = '", 0), 0u) << err;
+      continue;
+    }
+    ++ran;
+    const int cc = std::min(tb->default_max_channels, 6);
+    const auto out = exp::run_algorithm(exp::Algorithm::kProMc, *tb, ds, cc, run_config);
+    const auto& r = out.result;
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    EXPECT_TRUE(std::isfinite(r.duration) && r.duration > 0.0);
+    EXPECT_TRUE(std::isfinite(r.end_system_energy) && r.end_system_energy >= 0.0);
+    EXPECT_TRUE(std::isfinite(r.network_energy) && r.network_energy >= 0.0);
+    EXPECT_EQ(r.bytes, r.goodput_bytes() + r.faults.wasted_bytes);
+    if (r.completed) {
+      EXPECT_EQ(r.goodput_bytes(), ds.total_bytes());
+    } else {
+      ASSERT_TRUE(r.checkpoint.has_value());
+      EXPECT_EQ(r.checkpoint->delivered_bytes(ds), r.goodput_bytes());
+    }
+  }
+  // Both outcomes are exercised, each on a fair share of the mutants.
+  EXPECT_GT(refused, kMutants / 10);
+  EXPECT_GT(ran, kMutants / 10);
 }
 
 }  // namespace
