@@ -8,7 +8,10 @@
 //   3. HTEE's stride-2 search vs a full sweep
 //   4. Packed vs spread channel placement (the Globus Online energy penalty)
 //   5. Pipelining amortisation on/off (small-file collapse)
+//   6. The congestion term (net::congestion_efficiency) as calibrated vs off,
+//      on XSEDE and on FutureGrid's 1 Gbps path, where it engages
 #include <iostream>
+#include <tuple>
 
 #include "bench_common.hpp"
 #include "core/algorithms.hpp"
@@ -142,6 +145,37 @@ int main(int argc, char** argv) {
     for (auto& p : no_pp.params) p.pipelining = 1;
     tab.add_row(row("pipelining disabled",
                     run_plan(t, ds, std::move(no_pp), nullptr, "pipelining-off")));
+    bench::emit(tab, opt);
+  }
+
+  {
+    // The term engages only once demand passes the link or streams pass the
+    // knee; on XSEDE at this budget neither happens, so FutureGrid's 1 Gbps
+    // path is run too.
+    std::cout << "6. Congestion term: as calibrated vs off (loss_beta = stream_beta = 0),"
+                 " XSEDE and FutureGrid\n";
+    Table tab({"variant", "Mbps", "Joule", "ratio"});
+    auto fg = testbeds::futuregrid();
+    fg.recipe.total_bytes /= opt.scale;
+    const auto fg_ds = fg.make_dataset();
+    for (const auto& [site, bed, data] : {std::tuple{"XSEDE", &t, &ds},
+                                          std::tuple{"FutureGrid", &fg, &fg_ds}}) {
+      auto off = *bed;
+      off.env.congestion.loss_beta = 0.0;
+      off.env.congestion.stream_beta = 0.0;
+      for (const auto* b : {bed, &off}) {
+        const bool on = b == bed;
+        const std::string variant = on ? " (as calibrated)" : " without the term";
+        const std::string tag = std::string(site) + (on ? "-congestion-" : "-no-congestion-");
+        const auto promc = baselines::plan_promc(b->env, *data, cc);
+        tab.add_row(row(site + std::string(" ProMC") + variant,
+                        run_plan(*b, *data, promc, nullptr, tag + "promc")));
+        core::HteeController ctl(cc);
+        tab.add_row(row(site + std::string(" HTEE") + variant,
+                        run_plan(*b, *data, core::plan_htee(b->env, *data, cc), &ctl,
+                                 tag + "htee")));
+      }
+    }
     bench::emit(tab, opt);
   }
 
