@@ -26,8 +26,8 @@ struct FairShareResult {
 /// Reusable workspace for fair_share_reference_into and unit_fill_clamp. The
 /// allocator runs every tick for every disk pool and the shared link;
 /// holding the progressive-filling active set here — capacity preserved
-/// across calls — makes steady-state allocation heap-free. A scratch is cheap state, not a cache: results are
-/// identical whether it is fresh or reused.
+/// across calls — makes steady-state allocation heap-free. A scratch is cheap
+/// state, not a cache: results are identical whether it is fresh or reused.
 struct FairShareScratch {
   std::vector<std::size_t> active;
 };

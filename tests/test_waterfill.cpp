@@ -215,8 +215,9 @@ TEST(Waterfill, AllZeroWeightsAtScaleAllocateNothing) {
   for (double a : alloc) ASSERT_EQ(a, 0.0);
 
   FairShareScratch scratch;
-  const BitsPerSecond via_into = fair_share_reference_into(gbps(100.0), d, alloc, scratch);
-  EXPECT_EQ(via_into, 0.0);
+  const BitsPerSecond via_reference =
+      fair_share_reference_into(gbps(100.0), d, alloc, scratch);
+  EXPECT_EQ(via_reference, 0.0);
   for (double a : alloc) ASSERT_EQ(a, 0.0);
   check_scalar(gbps(100.0), d, solver, "all-zero weights at scale");
 }
