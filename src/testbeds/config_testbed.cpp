@@ -60,17 +60,10 @@ class KeyReader {
     return *v;
   }
 
-  /// Rounded to the nearest whole number, as Config::get_int does.
+  /// real(), rounded to the nearest whole number as Config::get_int does.
   [[nodiscard]] int whole(std::string_view section, std::string_view key, int fallback,
                           Range range) {
-    const auto text = cfg_.get(section, key);
-    if (!text) return fallback;
-    const auto v = number(*text);
-    if (!v || !range.holds(std::round(*v))) {
-      refuse(section, key, *text, "must be a whole number in " + range.text());
-      return fallback;
-    }
-    return static_cast<int>(std::round(*v));
+    return static_cast<int>(std::round(real(section, key, fallback, range)));
   }
 
   [[nodiscard]] Bytes size(std::string_view section, std::string_view key, Bytes fallback,
