@@ -52,8 +52,8 @@ void write_decision_json(std::ostream& os, const Decision& d, std::size_t slot,
   write_json_string(os, d.detail);
   os << ", \"level\": " << d.level << ", \"chosen\": " << d.chosen
      << ", \"measured_mbps\": " << json_number(d.measured_mbps)
-     << ", \"target_mbps\": " << json_number(d.target_mbps) << ", \"ratio\": " << json_number(d.ratio)
-     << "}";
+     << ", \"target_mbps\": " << json_number(d.target_mbps)
+     << ", \"ratio\": " << json_number(d.ratio) << "}";
 }
 
 void write_decision_line(std::ostream& os, const Decision& d) {

@@ -145,7 +145,8 @@ void write_metrics_object(std::ostream& os, const std::vector<MetricSnapshot>& m
   open_section("counters");
   each(MetricSnapshot::Kind::kCounter, [&](const MetricSnapshot& m) { os << m.count; });
   open_section("gauges");
-  each(MetricSnapshot::Kind::kGauge, [&](const MetricSnapshot& m) { os << json_number(m.value); });
+  each(MetricSnapshot::Kind::kGauge,
+       [&](const MetricSnapshot& m) { os << json_number(m.value); });
   open_section("histograms");
   each(MetricSnapshot::Kind::kHistogram, [&](const MetricSnapshot& m) {
     os << "{\"bounds\": [";

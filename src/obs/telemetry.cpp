@@ -23,7 +23,8 @@ void write_sample(std::ostream& os, const TelemetrySample& s, const std::string&
      << ", \"shed\": " << s.shed
      << ", \"preempted\": " << s.preempted << ", \"migrated\": " << s.migrated
      << ", \"completed\": " << s.completed << ", \"failed\": " << s.failed
-     << ", \"power_w\": " << json_number(s.power_w) << ", \"cap_w\": " << json_number(s.cap_w)
+     << ", \"power_w\": " << json_number(s.power_w)
+     << ", \"cap_w\": " << json_number(s.cap_w)
      << ", \"headroom_w\": " << json_number(std::max(0.0, s.cap_w - s.power_w));
   os << ", \"class_running\": [";
   for (std::size_t i = 0; i < s.class_running.size(); ++i) {
@@ -180,7 +181,8 @@ void TickFlightRecorder::write_json(std::ostream& os, int base_indent) const {
       const FlightTick& ft = dump.ticks[i];
       os << (i ? ",\n" : "\n") << tick_pad << "{\"t\": " << json_number(ft.t)
          << ", \"running\": " << ft.running << ", \"queued\": " << ft.queued
-         << ", \"deferred\": " << ft.deferred << ", \"power_w\": " << json_number(ft.power_w)
+         << ", \"deferred\": " << ft.deferred
+         << ", \"power_w\": " << json_number(ft.power_w)
          << ", \"cap_w\": " << json_number(ft.cap_w)
          << ", \"watchdog_aborts\": " << ft.watchdog_aborts
          << ", \"cap_violations\": " << ft.cap_violations << "}";

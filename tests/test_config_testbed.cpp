@@ -218,12 +218,12 @@ std::vector<KeyLine> key_lines(const std::vector<std::string>& lines) {
 }
 
 // Hostile numbers in an INI testbed are refused with an error that names
-// their section and key. First the eight values an unvalidated reader took
-// (five of them then ran a transfer to its guard without moving a byte, and
-// mtu = 0 zeroed network energy), then seeded mutations of the reference
-// config: NaN, infinities, zero, negatives, 1e300 and garbage swapped into
-// values, and lines dropped or duplicated. A mutant that is not refused must
-// build a testbed whose short run returns finite numbers and conserves bytes.
+// their section and key: first eight values no link or server can have (a
+// NaN rate or fraction, an infinite RTT, zero cores, MTU or buffer, a
+// negative disk rate), then seeded mutations of the reference config: NaN,
+// infinities, zero, negatives, 1e300 and garbage swapped into values, and
+// lines dropped or duplicated. A mutant that is not refused must build a
+// testbed whose short run returns finite numbers and conserves bytes.
 TEST(ConfigTestbed, SeededMutationsAreRefusedByNameOrRunCleanly) {
   const std::pair<const char*, const char*> hostile[] = {
       {"path", "bandwidth_gbps = nan"}, {"path", "rtt_ms = inf"},
