@@ -1,7 +1,6 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -17,145 +16,33 @@ void SimCounters::publish(obs::MetricsRegistry& metrics) const {
 }
 
 Simulation::Simulation() {
-  // A session's steady queue is tiny (the ticker plus a handful of control
-  // events), but reserving up front keeps even the warm-up ticks off the
-  // allocator once the pool has grown.
+  // A session's queue holds its ticker plus a handful of control events;
+  // reserving up front keeps even the warm-up ticks off the allocator.
   heap_.reserve(64);
-  slab_.reserve(64);
+  events_.reserve(64);
+  free_events_.reserve(64);
 }
 
-std::uint32_t Simulation::alloc_slot() {
-  if (free_head_ != kNoIndex) {
-    const std::uint32_t s = free_head_;
-    free_head_ = slab_[s].next_free;
-    return s;
-  }
-  assert(slab_.size() < kSlotMask);
-  slab_.emplace_back();
-  return static_cast<std::uint32_t>(slab_.size() - 1);
+std::uint64_t Simulation::push(Seconds time, std::uint32_t slot, bool ticker) {
+  heap_.push_back(Key{time, next_seq_, slot, ticker});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++counters_.scheduled;
+  counters_.peak_queue = std::max<std::uint64_t>(counters_.peak_queue, heap_.size());
+  return next_seq_++;
 }
-
-void Simulation::release_slot(std::uint32_t slot) {
-  // Deliberately minimal — this runs once per fired event. seq = 0 turns
-  // every heap entry still pointing here into a tombstone; the generation
-  // bump invalidates outstanding EventIds. The callable is NOT cleared here:
-  // fire paths have already moved it out, and cancel() clears it explicitly
-  // (the next tenant's move-assignment would destroy any leftover anyway).
-  Node& n = slab_[slot];
-  ++n.gen;
-  n.seq = 0;
-  n.next_free = free_head_;
-  free_head_ = slot;
-}
-
-std::uint32_t Simulation::alloc_ticker() {
-  if (ticker_free_head_ != kNoIndex) {
-    const std::uint32_t t = ticker_free_head_;
-    ticker_free_head_ = tickers_[t].next_free;
-    return t;
-  }
-  tickers_.emplace_back();
-  return static_cast<std::uint32_t>(tickers_.size() - 1);
-}
-
-void Simulation::release_ticker(std::uint32_t t) {
-  TickerBody& b = tickers_[t];
-  b.fn = nullptr;  // release captured state now, as the old eager erase did
-  b.firing = false;
-  b.dead_after_fire = false;
-  b.next_free = ticker_free_head_;
-  ticker_free_head_ = t;
-}
-
-void Simulation::sift_up(std::size_t i) {
-  const Entry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!entry_less(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-void Simulation::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const Entry e = heap_[i];
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (entry_less(heap_[c], heap_[best])) best = c;
-    }
-    if (!entry_less(heap_[best], e)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = e;
-}
-
-void Simulation::push_entry(const Entry& e) {
-  heap_.push_back(e);
-  sift_up(heap_.size() - 1);
-}
-
-void Simulation::pop_root() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-}
-
-bool Simulation::prune_top() {
-  while (!heap_.empty()) {
-    if (entry_live(heap_.front())) return true;
-    pop_root();
-    --tombstones_;
-  }
-  return false;
-}
-
-void Simulation::maybe_compact() {
-  // Lazy cancellation must not let dead entries dominate: once tombstones
-  // exceed half the heap, filter them out in one O(n) rebuild.
-  if (heap_.size() < 32 || tombstones_ * 2 <= heap_.size()) return;
-  std::size_t w = 0;
-  for (const Entry& e : heap_) {
-    if (entry_live(e)) heap_[w++] = e;
-  }
-  heap_.resize(w);
-  if (w > 1) {
-    for (std::size_t i = (w - 2) / 4 + 1; i-- > 0;) sift_down(i);
-  }
-  tombstones_ = 0;
-}
-
-namespace {
-
-/// Canonical bit pattern for a fire time: +0.0 is added so a negative zero
-/// (possible when scheduling exactly at t = -0.0) maps onto +0.0, keeping
-/// the unsigned-bit ordering consistent with numeric ordering.
-std::uint64_t time_bits(Seconds t) noexcept {
-  return std::bit_cast<std::uint64_t>(t + 0.0);
-}
-
-}  // namespace
 
 EventId Simulation::schedule_at(Seconds t, std::function<void()> fn) {
   const Seconds when = std::max(t, now_);
-  assert(!(when < 0.0));
-  const std::uint32_t slot = alloc_slot();
-  Node& n = slab_[slot];
-  assert(next_seq_ >> (64 - kSlotBits) == 0);
-  n.seq = next_seq_++;
-  n.ticker = kNoIndex;
-  n.fn = std::move(fn);
-  push_entry(Entry{time_bits(when), n.seq << kSlotBits | slot});
-  ++counters_.scheduled;
-  ++live_;
-  if (live_ > counters_.peak_queue) counters_.peak_queue = live_;
-  return EventId{when, n.seq, slot + 1, n.gen};
+  std::uint32_t slot = 0;
+  if (free_events_.empty()) {
+    slot = static_cast<std::uint32_t>(events_.size());
+    events_.push_back(std::move(fn));
+  } else {
+    slot = free_events_.back();
+    free_events_.pop_back();
+    events_[slot] = std::move(fn);
+  }
+  return EventId{when, push(when, slot, false)};
 }
 
 EventId Simulation::schedule_after(Seconds dt, std::function<void()> fn) {
@@ -164,110 +51,94 @@ EventId Simulation::schedule_after(Seconds dt, std::function<void()> fn) {
 
 EventId Simulation::add_ticker(Seconds interval, std::function<bool()> fn) {
   const Seconds when = now_ + std::max(interval, 0.0);
-  const std::uint32_t slot = alloc_slot();
-  const std::uint32_t t = alloc_ticker();
-  TickerBody& b = tickers_[t];
-  b.interval = interval;
-  b.fn = std::move(fn);
-  Node& n = slab_[slot];
-  n.seq = next_seq_++;
-  n.ticker = t;
-  push_entry(Entry{time_bits(when), n.seq << kSlotBits | slot});
-  ++counters_.scheduled;
-  ++live_;
-  if (live_ > counters_.peak_queue) counters_.peak_queue = live_;
-  return EventId{when, n.seq, slot + 1, n.gen};
+  // Reuse the first ended entry; a running simulation has one or two.
+  auto it = std::find_if(tickers_.begin(), tickers_.end(),
+                         [](const Ticker& t) { return t.id == 0; });
+  if (it == tickers_.end()) it = tickers_.emplace(tickers_.end());
+  const auto slot = static_cast<std::uint32_t>(it - tickers_.begin());
+  it->interval = interval;
+  it->fn = std::move(fn);
+  it->id = it->pending = push(when, slot, true);
+  return EventId{when, it->id, slot + 1};
 }
 
 bool Simulation::cancel(EventId id) {
-  if (!id.valid() || id.slot == 0 || id.slot > slab_.size()) return false;
-  const std::uint32_t slot = id.slot - 1;
-  Node& n = slab_[slot];
-  // The generation ties the id to one slab tenancy: it survives a ticker's
-  // re-arms (same tenancy) and goes stale the moment the slot is released.
-  if (n.gen != id.gen) return false;
-  if (n.ticker != kNoIndex) {
-    TickerBody& b = tickers_[n.ticker];
-    if (b.firing) {
+  if (!id.valid()) return false;
+  std::uint64_t seq = id.seq;
+  Ticker* ticker = nullptr;
+  if (id.ticker != 0) {
+    if (id.ticker > tickers_.size() || tickers_[id.ticker - 1].id != id.seq) return false;
+    ticker = &tickers_[id.ticker - 1];
+    if (ticker->pending == 0) {
       // Cancelled from inside its own callback: the occurrence already left
-      // the heap, so there is nothing to tombstone — fire_top() drops the
-      // node once the callback returns, whatever it returns.
-      if (b.dead_after_fire) return false;
-      b.dead_after_fire = true;
+      // the heap, so fire_next() ends the ticker once the callback returns.
+      if (ticker->cancelled) return false;
+      ticker->cancelled = true;
       return true;
     }
-    release_ticker(n.ticker);
-  } else {
-    if (n.seq != id.seq) return false;
-    n.fn = nullptr;  // release captured state now, as the old eager erase did
+    seq = ticker->pending;
   }
+  const auto it = std::find_if(heap_.begin(), heap_.end(),
+                               [seq](const Key& k) { return k.seq == seq; });
+  if (it == heap_.end()) return false;
+  const Key key = *it;
+  // Move the key to the front (no pending time is below -inf) and pop it.
+  it->time = -std::numeric_limits<Seconds>::infinity();
+  std::push_heap(heap_.begin(), it + 1, Later{});
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
   ++counters_.cancelled;
-  ++tombstones_;
-  --live_;
-  release_slot(slot);
-  maybe_compact();
+  // Release captured state now, as the event would never run it.
+  if (ticker != nullptr) {
+    ticker->id = 0;
+    ticker->fn = nullptr;
+  } else {
+    events_[key.slot] = nullptr;
+    free_events_.push_back(key.slot);
+  }
   return true;
 }
 
-void Simulation::fire_top() {
-  const Entry e = heap_.front();
-  pop_root();
-  now_ = e.time();
-  --live_;
+void Simulation::fire_next() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  now_ = key.time;
   ++counters_.fired;
-  const auto slot = static_cast<std::uint32_t>(e.key & kSlotMask);
-  Node& n = slab_[slot];
 
-  if (n.ticker == kNoIndex) {
-    // Release the slot before running the payload (mirroring the old
-    // erase-then-fire order), so the callback can schedule fresh events that
-    // recycle it immediately.
-    auto fn = std::move(n.fn);
-    release_slot(slot);
+  if (!key.ticker) {
+    // Free the slot before running the payload, so the callback can
+    // schedule fresh events that reuse it.
+    auto fn = std::move(events_[key.slot]);
+    free_events_.push_back(key.slot);
     fn();
     return;
   }
 
-  // Ticker occurrence. The callable is moved to the stack for the call:
-  // callbacks may add tickers, growing the side slab under our feet, and a
-  // vector reallocation must not relocate a std::function mid-execution.
-  const std::uint32_t t = n.ticker;
+  // The callable is moved to the stack for the call: the callback may add
+  // tickers, and growing the table must not relocate a running
+  // std::function.
   ++counters_.ticks;
-  tickers_[t].firing = true;
-  auto fn = std::move(tickers_[t].fn);
+  tickers_[key.slot].pending = 0;
+  auto fn = std::move(tickers_[key.slot].fn);
   const bool keep = fn();
-  TickerBody& b = tickers_[t];  // re-fetch: the side slab may have reallocated
-  b.firing = false;
-  if (!keep || b.dead_after_fire) {
-    release_ticker(t);
-    release_slot(slot);
+  Ticker& t = tickers_[key.slot];  // re-fetch: the table may have grown
+  if (!keep || t.cancelled) {
+    t.id = 0;
+    t.cancelled = false;
     return;
   }
-  // Re-arm fast path: the fired node is re-pushed in place — fresh seq, same
-  // slot and generation, zero allocation.
-  b.fn = std::move(fn);
-  Node& n2 = slab_[slot];  // re-fetch: the callback may have grown the slab
-  n2.seq = next_seq_++;
-  const Seconds when = now_ + std::max(b.interval, 0.0);
-  push_entry(Entry{time_bits(when), n2.seq << kSlotBits | slot});
-  ++counters_.scheduled;
-  ++live_;
-  if (live_ > counters_.peak_queue) counters_.peak_queue = live_;
-}
-
-bool Simulation::step() {
-  if (!prune_top()) return false;
-  fire_top();
-  return true;
+  t.fn = std::move(fn);
+  t.pending = push(now_ + std::max(t.interval, 0.0), key.slot, true);
 }
 
 std::uint64_t Simulation::run_until(Seconds deadline) {
   std::uint64_t fired = 0;
-  while (prune_top() && heap_.front().time() <= deadline) {
-    fire_top();
+  while (!heap_.empty() && heap_.front().time <= deadline) {
+    fire_next();
     ++fired;
   }
-  if (live_ == 0 && now_ < deadline && deadline < std::numeric_limits<double>::infinity()) {
+  if (heap_.empty() && now_ < deadline && deadline < std::numeric_limits<double>::infinity()) {
     now_ = deadline;
   }
   return fired;

@@ -9,19 +9,14 @@
 // monotonically increasing sequence number breaks ties), and the engine never
 // consults the wall clock.
 //
-// Implementation (the single hottest path in the codebase — see MODEL.md
-// §11): an indexed 4-ary min-heap over (time, seq) keys on top of a
-// slab-recycled node pool. Heap entries are 16 bytes — the time plus seq and
-// slab slot packed into one word — so a 4-ary child group spans at most two
-// cache lines. cancel() is lazy: it kills the node and leaves a tombstone
-// entry in the heap, which pop detects by the slot's sequence number no
-// longer matching (seq values are never reused); the heap compacts when
-// tombstones outnumber live entries. Tickers re-arm by re-pushing their own
-// node (fresh seq, same slot), so the steady tick loop performs no
-// allocation at all.
+// Implementation (MODEL.md §11): a binary min-heap (std::push_heap /
+// std::pop_heap) of small (time, seq, slot, ticker) keys. One-shot callables
+// sit in a slot-indexed table with a free list, repeating ones in a ticker
+// table, so the heap moves only keys. cancel() finds the key by its seq and
+// removes it at once. A product simulation holds one ticker and a few
+// one-shot events, so the queue stays shallow and a linear search is cheap.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -36,14 +31,14 @@ class MetricsRegistry;
 namespace eadt::sim {
 
 /// Handle for a scheduled event; valid until the event fires or is cancelled.
-/// `slot`/`gen` locate the event's node in the engine's slab (slot is the
-/// index + 1, so a default-constructed id points nowhere); `time`/`seq` remain
-/// the public identity and the deterministic ordering key.
+/// `time`/`seq` are the event's identity and its deterministic ordering key;
+/// a ticker's handle names its first occurrence and carries the ticker's
+/// table index + 1 in `ticker` (0 for a one-shot event), which cancel() uses
+/// to find whichever occurrence is pending.
 struct EventId {
   Seconds time = 0.0;
   std::uint64_t seq = 0;
-  std::uint32_t slot = 0;
-  std::uint32_t gen = 0;
+  std::uint32_t ticker = 0;
   [[nodiscard]] bool valid() const noexcept { return seq != 0; }
 };
 
@@ -86,99 +81,55 @@ class Simulation {
   /// or from inside the callback itself.
   EventId add_ticker(Seconds interval, std::function<bool()> fn);
 
-  /// Fire the next pending event. Returns false when the queue is empty.
-  bool step();
-
   /// Run until the queue empties or simulated time would pass `deadline`.
   /// Returns the number of events fired.
   std::uint64_t run_until(Seconds deadline = std::numeric_limits<double>::infinity());
 
-  /// Live (not cancelled) pending events; tombstones are invisible here.
-  [[nodiscard]] std::size_t pending_events() const noexcept { return live_; }
+  /// Pending events.
+  [[nodiscard]] std::size_t pending_events() const noexcept { return heap_.size(); }
 
   [[nodiscard]] const SimCounters& counters() const noexcept { return counters_; }
 
  private:
-  static constexpr std::uint32_t kNoIndex = 0xFFFFFFFFu;
-  /// Entry keys pack (seq << kSlotBits) | slot: seq in the high bits keeps
-  /// key order == seq order among equal times, 24 slot bits cap the pool at
-  /// ~16.7M concurrent events and 40 seq bits at ~10^12 per Simulation —
-  /// both far beyond any session (asserted in the allocation paths).
-  static constexpr std::uint32_t kSlotBits = 24;
-  static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
-
-  /// One slab slot, sized to a cache line. `seq` is the liveness test: a
-  /// heap entry is current iff its packed seq still matches (seq values are
-  /// globally unique, and a released slot has seq == 0). `gen` increments on
-  /// release and ties an EventId to one tenancy — it survives a ticker's
-  /// re-arms (which refresh seq) and goes stale when the slot is recycled.
-  /// Ticker slots put their payload in a side slab (`TickerBody`) so the
-  /// common one-shot node stays small.
-  struct Node {
+  /// Heap element. `slot` indexes events_ for a one-shot event and tickers_
+  /// for a ticker occurrence.
+  struct Key {
+    Seconds time = 0.0;
     std::uint64_t seq = 0;
-    std::uint32_t gen = 0;
-    std::uint32_t next_free = kNoIndex;
-    std::uint32_t ticker = kNoIndex;  ///< index into tickers_; kNoIndex = one-shot
-    std::function<void()> fn;         ///< one-shot payload
+    std::uint32_t slot = 0;
+    bool ticker = false;
   };
 
-  /// Repeating-event state, off the hot one-shot slab.
-  struct TickerBody {
+  /// Heap order for std::push_heap / std::pop_heap: true when `a` fires
+  /// after `b`, so the heap's front is the earliest (time, seq).
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const noexcept {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+  };
+
+  /// A repeating event. `id` is the seq its EventId carries (0 marks a free
+  /// entry); `pending` is the seq of its queued occurrence, 0 while its
+  /// callback runs.
+  struct Ticker {
     Seconds interval = 0.0;
-    std::uint32_t next_free = kNoIndex;
-    bool firing = false;           ///< callback currently executing
-    bool dead_after_fire = false;  ///< cancelled from inside its own callback
+    std::uint64_t id = 0;
+    std::uint64_t pending = 0;
+    bool cancelled = false;  ///< cancelled from inside its own callback
     std::function<bool()> fn;
   };
 
-  /// Heap element: ordering key only; liveness is validated against the
-  /// slab. The time is stored as its IEEE-754 bit pattern: simulated time is
-  /// non-negative by construction (schedule clamps to now, and now only
-  /// advances), and for non-negative doubles the bit pattern as an unsigned
-  /// integer preserves numeric order — so one wide branchless integer
-  /// comparison orders (time, seq) without float-compare mispredicts.
-  struct Entry {
-    std::uint64_t tbits = 0;  ///< bit_cast of the (non-negative) fire time
-    std::uint64_t key = 0;    ///< (seq << kSlotBits) | slot
-
-    [[nodiscard]] Seconds time() const noexcept { return std::bit_cast<Seconds>(tbits); }
-  };
-
-  static bool entry_less(const Entry& a, const Entry& b) noexcept {
-    __extension__ using u128 = unsigned __int128;  // GCC/Clang both have it
-    const auto ka = static_cast<u128>(a.tbits) << 64 | a.key;
-    const auto kb = static_cast<u128>(b.tbits) << 64 | b.key;
-    return ka < kb;
-  }
-
-  [[nodiscard]] bool entry_live(const Entry& e) const noexcept {
-    return slab_[e.key & kSlotMask].seq == e.key >> kSlotBits;
-  }
-
-  std::uint32_t alloc_slot();
-  void release_slot(std::uint32_t slot);
-  std::uint32_t alloc_ticker();
-  void release_ticker(std::uint32_t t);
-  void push_entry(const Entry& e);
-  void pop_root();
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  /// Drop tombstones off the root; false when no live event remains.
-  bool prune_top();
-  /// Fire the root entry; caller guarantees it is live (prune_top() == true).
-  void fire_top();
-  void maybe_compact();
+  /// Queue (time, slot) under a fresh seq and return the seq.
+  std::uint64_t push(Seconds time, std::uint32_t slot, bool ticker);
+  void fire_next();
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;        ///< live queued events (heap minus tombstones)
-  std::size_t tombstones_ = 0;  ///< stale heap entries awaiting skip/compaction
   SimCounters counters_;
-  std::vector<Entry> heap_;
-  std::vector<Node> slab_;
-  std::vector<TickerBody> tickers_;
-  std::uint32_t free_head_ = kNoIndex;
-  std::uint32_t ticker_free_head_ = kNoIndex;
+  std::vector<Key> heap_;
+  std::vector<std::function<void()>> events_;
+  std::vector<std::uint32_t> free_events_;
+  std::vector<Ticker> tickers_;
 };
 
 }  // namespace eadt::sim

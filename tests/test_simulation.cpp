@@ -186,14 +186,6 @@ TEST(Simulation, TickerCancelAfterSelfStopReturnsFalse) {
   EXPECT_FALSE(sim.cancel(id));  // the series already ended on its own
 }
 
-TEST(Simulation, StepReturnsFalseWhenEmpty) {
-  Simulation sim;
-  EXPECT_FALSE(sim.step());
-  sim.schedule_at(1.0, [] {});
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-}
-
 // --- differential stress: heap engine vs the std::map reference ------------
 
 /// The engine this PR replaced, verbatim (std::map queue, eager cancel,
@@ -375,10 +367,10 @@ TEST_P(SimulationDifferential, HeapMatchesMapReferenceOpForOp) {
 
 INSTANTIATE_TEST_SUITE_P(RandomScripts, SimulationDifferential, ::testing::Range(0, 4));
 
-// Heavy lazy-cancellation pressure: most scheduled events die before firing,
-// so the heap crosses its tombstone-compaction threshold many times. The
-// survivors must still fire in exact (time, seq) order.
-TEST(Simulation, CompactionPreservesOrderUnderMassCancel) {
+// Mass cancellation: most scheduled events die before firing, each removed
+// from the middle of the heap. The survivors must still fire in exact
+// (time, seq) order.
+TEST(Simulation, MassCancelKeepsSurvivorsInTimeOrder) {
   Simulation sim;
   Rng rng(99);
   std::vector<EventId> doomed;
@@ -404,15 +396,15 @@ TEST(Simulation, CompactionPreservesOrderUnderMassCancel) {
   EXPECT_EQ(sim.counters().fired, survivors.size());
 }
 
-// The slab recycles released slots: ids from a dead tenancy must never
-// cancel the slot's next tenant.
-TEST(Simulation, StaleIdDoesNotCancelRecycledSlot) {
+// A cancelled event's slot is reused by the next schedule: its id must
+// never cancel the event that took the slot.
+TEST(Simulation, StaleIdDoesNotCancelTheSlotsNextEvent) {
   Simulation sim;
   bool fired = false;
   const auto old_id = sim.schedule_at(1.0, [] {});
   ASSERT_TRUE(sim.cancel(old_id));
   sim.schedule_at(2.0, [&] { fired = true; });  // reuses the released slot
-  EXPECT_FALSE(sim.cancel(old_id));             // stale generation
+  EXPECT_FALSE(sim.cancel(old_id));             // stale id
   sim.run_until();
   EXPECT_TRUE(fired);
 }
