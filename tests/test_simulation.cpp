@@ -301,12 +301,34 @@ struct TraceEvent {
 /// observable. The script's decisions depend only on the Rng stream and op
 /// index — never on engine internals — so both engines receive an identical
 /// sequence of calls, and any behavioural difference shows up in the trace.
+/// In a re-entrant script each fired payload also acts on the queue from
+/// inside its callback: it may cancel a remembered id (possibly a ticker that
+/// is firing, possibly its own) and schedule a one-shot that does the same,
+/// drawing those choices from a second stream in firing order.
 template <typename Engine>
-std::vector<TraceEvent> replay_script(Engine& eng, std::uint64_t seed, int ops) {
+std::vector<TraceEvent> replay_script(Engine& eng, std::uint64_t seed, int ops,
+                                      bool reentrant = false) {
   Rng rng(seed);
+  Rng fire_rng(~seed);
   std::vector<TraceEvent> trace;
   std::vector<EventId> ids;
   int next_tag = 1;
+  const auto cancel_one = [&](Rng& r) {
+    const std::size_t pick = r.uniform_int(0, ids.size() - 1);
+    const bool ok = eng.cancel(ids[pick]);
+    trace.push_back({ok ? -1 : -2, eng.now()});
+    ids[pick] = ids.back();
+    ids.pop_back();
+  };
+  std::function<void(int)> fire = [&](int tag) {
+    trace.push_back({tag, eng.now()});
+    if (!reentrant) return;
+    if (!ids.empty() && fire_rng.uniform(0.0, 1.0) < 0.5) cancel_one(fire_rng);
+    if (fire_rng.uniform(0.0, 1.0) < 0.3) {
+      const int child = next_tag++;
+      ids.push_back(eng.schedule_after(fire_rng.uniform(0.0, 3.0), [child, &fire] { fire(child); }));
+    }
+  };
   for (int op = 0; op < ops; ++op) {
     const double roll = rng.uniform(0.0, 1.0);
     if (roll < 0.40) {
@@ -316,22 +338,17 @@ std::vector<TraceEvent> replay_script(Engine& eng, std::uint64_t seed, int ops) 
       double t = eng.now() + rng.uniform(0.0, 10.0);
       if (rng.uniform(0.0, 1.0) < 0.5) t = 0.5 * static_cast<int>(t * 2.0);
       const int tag = next_tag++;
-      ids.push_back(eng.schedule_at(
-          t, [tag, &trace, &eng] { trace.push_back({tag, eng.now()}); }));
+      ids.push_back(eng.schedule_at(t, [tag, &fire] { fire(tag); }));
     } else if (roll < 0.50) {
       const double interval = rng.uniform(0.1, 2.0);
       auto left = static_cast<int>(rng.uniform_int(1, 8));
       const int tag = next_tag++;
-      ids.push_back(eng.add_ticker(interval, [tag, left, &trace, &eng]() mutable {
-        trace.push_back({tag, eng.now()});
+      ids.push_back(eng.add_ticker(interval, [tag, left, &fire]() mutable {
+        fire(tag);
         return --left > 0;
       }));
     } else if (roll < 0.70 && !ids.empty()) {
-      const std::size_t pick = rng.uniform_int(0, ids.size() - 1);
-      const bool ok = eng.cancel(ids[pick]);
-      trace.push_back({ok ? -1 : -2, eng.now()});
-      ids[pick] = ids.back();
-      ids.pop_back();
+      cancel_one(rng);
     } else {
       const auto fired = eng.run_until(eng.now() + rng.uniform(0.0, 5.0));
       trace.push_back({-3 - static_cast<int>(fired), eng.now()});
@@ -342,17 +359,13 @@ std::vector<TraceEvent> replay_script(Engine& eng, std::uint64_t seed, int ops) 
   return trace;
 }
 
-class SimulationDifferential : public ::testing::TestWithParam<int> {};
-
-TEST_P(SimulationDifferential, HeapMatchesMapReferenceOpForOp) {
-  const auto seed = static_cast<std::uint64_t>(0x5EED0000 + GetParam());
-  // 4 script instances x 25k ops = 100k randomized schedule/cancel/ticker ops.
-  constexpr int kOps = 25000;
-
+/// Run one script on both engines; their traces, clocks and counters must
+/// agree exactly.
+void expect_engines_agree(std::uint64_t seed, int ops, bool reentrant) {
   Simulation heap_eng;
-  const auto heap_trace = replay_script(heap_eng, seed, kOps);
+  const auto heap_trace = replay_script(heap_eng, seed, ops, reentrant);
   RefSim map_eng;
-  const auto map_trace = replay_script(map_eng, seed, kOps);
+  const auto map_trace = replay_script(map_eng, seed, ops, reentrant);
 
   ASSERT_EQ(heap_trace.size(), map_trace.size());
   for (std::size_t i = 0; i < heap_trace.size(); ++i) {
@@ -365,6 +378,17 @@ TEST_P(SimulationDifferential, HeapMatchesMapReferenceOpForOp) {
   EXPECT_EQ(heap_eng.counters().cancelled, map_eng.counters().cancelled);
   EXPECT_EQ(heap_eng.counters().ticks, map_eng.counters().ticks);
   EXPECT_EQ(heap_eng.counters().peak_queue, map_eng.counters().peak_queue);
+}
+
+class SimulationDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimulationDifferential, HeapMatchesMapReferenceOpForOp) {
+  // 4 script instances x 25k ops = 100k randomized schedule/cancel/ticker ops.
+  expect_engines_agree(static_cast<std::uint64_t>(0x5EED0000 + GetParam()), 25000, false);
+}
+
+TEST_P(SimulationDifferential, CancelAndScheduleFromFiringPayloadsMatchMapReference) {
+  expect_engines_agree(static_cast<std::uint64_t>(0x5EED1000 + GetParam()), 25000, true);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomScripts, SimulationDifferential, ::testing::Range(0, 4));
