@@ -60,7 +60,7 @@ class KeyReader {
     return *v;
   }
 
-  /// real(), rounded to the nearest whole number as Config::get_int does.
+  /// real(), rounded to the nearest whole number (halves away from zero).
   [[nodiscard]] int whole(std::string_view section, std::string_view key, int fallback,
                           Range range) {
     return static_cast<int>(std::round(real(section, key, fallback, range)));

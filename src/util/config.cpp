@@ -157,38 +157,6 @@ std::string Config::get_string(std::string_view section, std::string_view key,
   return v ? *v : std::move(fallback);
 }
 
-double Config::get_double(std::string_view section, std::string_view key,
-                          double fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double d = std::strtod(v->c_str(), &end);
-  return end != v->c_str() && trim(std::string_view(end)).empty() ? d : fallback;
-}
-
-int Config::get_int(std::string_view section, std::string_view key, int fallback) const {
-  const double d = get_double(section, key, static_cast<double>(fallback));
-  return static_cast<int>(std::llround(d));
-}
-
-bool Config::get_bool(std::string_view section, std::string_view key,
-                      bool fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  const std::string s = lower(trim(*v));
-  if (s == "true" || s == "yes" || s == "on" || s == "1") return true;
-  if (s == "false" || s == "no" || s == "off" || s == "0") return false;
-  return fallback;
-}
-
-Bytes Config::get_size(std::string_view section, std::string_view key,
-                       Bytes fallback) const {
-  const auto v = get(section, key);
-  if (!v) return fallback;
-  const auto parsed = parse_size(*v);
-  return parsed ? *parsed : fallback;
-}
-
 std::vector<std::string> Config::get_list(std::string_view section,
                                           std::string_view key) const {
   std::vector<std::string> items;

@@ -5,10 +5,11 @@
 //   key = value          ; values keep internal spaces, trimmed at the ends
 //   # comment, ; comment ; full-line or trailing comments
 //
-// Keys are unique per section (later duplicates overwrite). Values are
-// fetched typed, with defaults: get_double / get_int / get_bool / get_string
-// / get_size (accepts "32MB", "1.5GB", "300kb" style suffixes, binary
-// multiples) / get_list (comma-separated).
+// Keys are unique per section (later duplicates overwrite). Values are read
+// as text: get() (nullopt when absent), get_string (with a default) and
+// get_list (comma-separated). Callers that want numbers parse the text
+// themselves; parse_size() reads "32MB", "1.5GB", "300kb" style sizes
+// (binary multiples).
 #pragma once
 
 #include <map>
@@ -38,16 +39,6 @@ class Config {
                                                std::string_view key) const;
   [[nodiscard]] std::string get_string(std::string_view section, std::string_view key,
                                        std::string fallback) const;
-  [[nodiscard]] double get_double(std::string_view section, std::string_view key,
-                                  double fallback) const;
-  [[nodiscard]] int get_int(std::string_view section, std::string_view key,
-                            int fallback) const;
-  /// true/yes/on/1 vs false/no/off/0 (case-insensitive).
-  [[nodiscard]] bool get_bool(std::string_view section, std::string_view key,
-                              bool fallback) const;
-  /// Byte size with optional B/KB/MB/GB/TB suffix (binary multiples).
-  [[nodiscard]] Bytes get_size(std::string_view section, std::string_view key,
-                               Bytes fallback) const;
   /// Comma-separated list, items trimmed; empty items dropped.
   [[nodiscard]] std::vector<std::string> get_list(std::string_view section,
                                                   std::string_view key) const;

@@ -74,44 +74,6 @@ TEST(ConfigParse, EmptySectionAllowed) {
   EXPECT_TRUE(cfg->keys("empty").empty());
 }
 
-TEST(ConfigTyped, Doubles) {
-  const auto cfg = Config::parse("[s]\na = 2.5\nb = junk\nc = 3x\n");
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_DOUBLE_EQ(cfg->get_double("s", "a", 0.0), 2.5);
-  EXPECT_DOUBLE_EQ(cfg->get_double("s", "b", 7.0), 7.0);   // unparsable -> fallback
-  EXPECT_DOUBLE_EQ(cfg->get_double("s", "c", 7.0), 7.0);   // trailing junk -> fallback
-  EXPECT_DOUBLE_EQ(cfg->get_double("s", "missing", -1.0), -1.0);
-}
-
-TEST(ConfigTyped, IntsRound) {
-  const auto cfg = Config::parse("[s]\na = 12\nb = 2.6\n");
-  EXPECT_EQ(cfg->get_int("s", "a", 0), 12);
-  EXPECT_EQ(cfg->get_int("s", "b", 0), 3);
-  EXPECT_EQ(cfg->get_int("s", "zz", 9), 9);
-}
-
-TEST(ConfigTyped, Bools) {
-  const auto cfg = Config::parse(
-      "[s]\nt1 = true\nt2 = YES\nt3 = on\nt4 = 1\n"
-      "f1 = false\nf2 = No\nf3 = off\nf4 = 0\nweird = maybe\n");
-  for (const char* k : {"t1", "t2", "t3", "t4"}) {
-    EXPECT_TRUE(cfg->get_bool("s", k, false)) << k;
-  }
-  for (const char* k : {"f1", "f2", "f3", "f4"}) {
-    EXPECT_FALSE(cfg->get_bool("s", k, true)) << k;
-  }
-  EXPECT_TRUE(cfg->get_bool("s", "weird", true));  // fallback on nonsense
-}
-
-TEST(ConfigTyped, Sizes) {
-  const auto cfg = Config::parse("[s]\na = 32MB\nb = 1.5GB\nc = 700\nbad = 3light\n");
-  EXPECT_EQ(cfg->get_size("s", "a", 0), 32 * kMB);
-  EXPECT_EQ(cfg->get_size("s", "b", 0), static_cast<Bytes>(1.5 * static_cast<double>(kGB)));
-  EXPECT_EQ(cfg->get_size("s", "c", 0), 700u);
-  EXPECT_EQ(cfg->get_size("s", "bad", 42), 42u);
-  EXPECT_EQ(cfg->get_size("s", "nope", 42), 42u);
-}
-
 TEST(ConfigTyped, Lists) {
   const auto cfg = Config::parse("[s]\nl = a, b ,c,,  d  \nempty =\n");
   const auto items = cfg->get_list("s", "l");
@@ -178,8 +140,9 @@ TEST_P(ConfigFuzz, ParserNeverCrashes) {
     // Whatever parsed must answer lookups without incident.
     for (const auto& section : cfg->sections()) {
       for (const auto& key : cfg->keys(section)) {
-        (void)cfg->get_double(section, key, 0.0);
-        (void)cfg->get_size(section, key, 0);
+        const auto value = cfg->get(section, key);
+        ASSERT_TRUE(value.has_value()) << text;
+        (void)parse_size(*value);
         (void)cfg->get_list(section, key);
       }
     }
