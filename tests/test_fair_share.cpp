@@ -153,21 +153,28 @@ TEST(FairShare, AllZeroCapsAllocateNothing) {
 
 // The scratch-reusing entry point is the allocating one's hot twin: whatever
 // state the scratch and output vectors carry over from previous (differently
-// sized) calls, the result must be bit-for-bit what fair_share computes.
+// sized) calls, the result must be bit-for-bit what fair_share computes. The
+// last three rounds run the sizes around kWaterfillThreshold, larger than any
+// the scratch has held so far, with capacity scaled to keep a small round's
+// per-flow share (so the fill still caps flows over several rounds).
 TEST(FairShare, ScratchReuseIsBitwiseIdentical) {
   Rng rng(4242);
   FairShareScratch scratch;
   std::vector<BitsPerSecond> alloc;
-  for (int round = 0; round < 200; ++round) {
-    const int n = static_cast<int>(rng.uniform_int(0, 32));
+  const std::size_t large[] = {kWaterfillThreshold - 1, kWaterfillThreshold,
+                               kWaterfillThreshold + 137};
+  for (int round = 0; round < 203; ++round) {
+    const std::size_t n =
+        round < 200 ? static_cast<std::size_t>(rng.uniform_int(0, 32)) : large[round - 200];
     std::vector<Demand> d;
-    for (int i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       // Include degenerate channels so the in-place survivor compaction runs.
       const double cap = rng.uniform(0.0, 1.0) < 0.1 ? 0.0 : rng.uniform(1e7, 5e9);
       const double weight = rng.uniform(0.0, 1.0) < 0.1 ? 0.0 : rng.uniform(0.1, 4.0);
       d.push_back({cap, weight});
     }
-    const double capacity = rng.uniform(0.0, 1e10);
+    const double capacity =
+        rng.uniform(0.0, 1e10) * std::max(1.0, static_cast<double>(n) / 32.0);
     const auto reference = fair_share(capacity, d);
     const double total = fair_share_reference_into(capacity, d, alloc, scratch);
     ASSERT_EQ(alloc.size(), reference.allocation.size());

@@ -288,29 +288,6 @@ TEST(Waterfill, CertifiedPathEngagesOnSeparatedGrids) {
 
 // --- integration with the reference loop and the arbiter -----------------
 
-// The product runs the reference loop at every size, with a scratch reused
-// across rounds; around the old kWaterfillThreshold seam it must still agree
-// bitwise with fair_share() (a fresh scratch) on the same input.
-TEST(Waterfill, FairShareIntoDispatchIsSeamlessAcrossThreshold) {
-  Rng rng(0xD15B);
-  FairShareScratch scratch;
-  std::vector<BitsPerSecond> alloc;
-  for (const std::size_t n :
-       {kWaterfillThreshold - 1, kWaterfillThreshold, kWaterfillThreshold + 137}) {
-    std::vector<Demand> d;
-    for (std::size_t i = 0; i < n; ++i) {
-      d.push_back({rng.uniform(1e5, 1e9), static_cast<double>(rng.uniform_int(1, 4))});
-    }
-    const double capacity = rng.uniform(1e8, 1e12);
-    const auto ref = fair_share(capacity, d);
-    const double total = fair_share_reference_into(capacity, d, alloc, scratch);
-    ASSERT_EQ(total, ref.total) << "n=" << n;
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(alloc[i], ref.allocation[i]) << "n=" << n << " flow " << i;
-    }
-  }
-}
-
 // Grouped submission is a drop-in for per-flow submission: same joint
 // allocation, same slices, same total, bit for bit.
 TEST(Waterfill, ArbiterGroupedSubmissionMatchesFlatSubmission) {
