@@ -81,7 +81,7 @@ bool Simulation::cancel(EventId id) {
   const auto it = std::find_if(heap_.begin(), heap_.end(),
                                [seq](const Key& k) { return k.seq == seq; });
   if (it == heap_.end()) return false;
-  const Key key = *it;
+  const std::uint32_t slot = it->slot;
   // Move the key to the front (no pending time is below -inf) and pop it.
   it->time = -std::numeric_limits<Seconds>::infinity();
   std::push_heap(heap_.begin(), it + 1, Later{});
@@ -93,8 +93,8 @@ bool Simulation::cancel(EventId id) {
     ticker->id = 0;
     ticker->fn = nullptr;
   } else {
-    events_[key.slot] = nullptr;
-    free_events_.push_back(key.slot);
+    events_[slot] = nullptr;
+    free_events_.push_back(slot);
   }
   return true;
 }

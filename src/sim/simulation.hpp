@@ -13,8 +13,9 @@
 // std::pop_heap) of small (time, seq, slot, ticker) keys. One-shot callables
 // sit in a slot-indexed table with a free list, repeating ones in a ticker
 // table, so the heap moves only keys. cancel() finds the key by its seq and
-// removes it at once. A product simulation holds one ticker and a few
-// one-shot events, so the queue stays shallow and a linear search is cheap.
+// removes it at once. A product simulation holds one ticker plus its fault
+// and submission events and cancels a few at most, so the linear search is
+// cheap.
 #pragma once
 
 #include <cstdint>
