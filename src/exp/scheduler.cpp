@@ -855,14 +855,8 @@ bool Scheduler::master_tick() {
         ++slices;
       }
       round.arbiter.allocate();
-
-      round.eff = net::congestion_efficiency(path_envs_[p].congestion, agg_demand,
-                                             capacity, agg_streams);
-      double total_avg = 0.0;
-      for (std::uint32_t i = 0; i < slices; ++i) {
-        for (const BitsPerSecond a : round.arbiter.slice(i)) total_avg += a * round.eff;
-      }
-      round.burst_cap = total_avg > 0.0 ? std::max(1.0, capacity / total_avg) : 1.0;
+      round.factors = net::round_factors(path_envs_[p].congestion, capacity, agg_demand,
+                                         agg_streams, round.arbiter.allocation());
     }
     timer.lap(obs::TickProfiler::kArbiter);
 
@@ -881,8 +875,8 @@ bool Scheduler::master_tick() {
       const PathRound& round = path_round_[stage.path];
       proto::TransferSession& s = *running_[i]->session;
       const auto slice = round.arbiter.slice(stage.slice);
-      s.apply_link_allocation(slice.subspan(stage.offset, stage.count), round.eff,
-                              round.burst_cap);
+      s.apply_link_allocation(slice.subspan(stage.offset, stage.count), round.factors.eff,
+                              round.factors.burst_cap);
       s.advance_compute();
     };
     const auto commit = [&](std::size_t i) {

@@ -396,8 +396,7 @@ class Scheduler {
   /// valid until its next round, so the apply phase reads them in place.
   struct PathRound {
     net::LinkArbiter arbiter;
-    double eff = 1.0;
-    double burst_cap = 1.0;
+    net::RoundFactors factors;
   };
   std::vector<Tenant*> overdue_;        ///< watchdog sweep
   std::vector<Tenant*> finished_;       ///< tenants completing this tick

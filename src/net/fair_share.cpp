@@ -1,5 +1,6 @@
 #include "net/fair_share.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace eadt::net {
@@ -87,6 +88,17 @@ void unit_fill_clamp(BitsPerSecond capacity, std::span<BitsPerSecond> caps,
     }
     active.resize(survivors);
   }
+}
+
+RoundFactors round_factors(const CongestionSpec& congestion, BitsPerSecond capacity,
+                           double aggregate_demand, int streams,
+                           std::span<const BitsPerSecond> allocation) {
+  RoundFactors f;
+  f.eff = congestion_efficiency(congestion, aggregate_demand, capacity, streams);
+  double total_avg = 0.0;
+  for (const BitsPerSecond a : allocation) total_avg += a * f.eff;
+  f.burst_cap = total_avg > 0.0 ? std::max(1.0, capacity / total_avg) : 1.0;
+  return f;
 }
 
 FairShareResult fair_share(BitsPerSecond capacity, std::span<const Demand> demands) {

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "net/tcp_model.hpp"
 #include "net/waterfill.hpp"
 #include "util/units.hpp"
 
@@ -62,6 +63,20 @@ BitsPerSecond fair_share_reference_into(BitsPerSecond capacity,
 void unit_fill_clamp(BitsPerSecond capacity, std::span<BitsPerSecond> caps,
                      FairShareScratch& scratch);
 
+/// What a filled link round scales its flows' rates by: `eff` is
+/// congestion_efficiency(congestion, aggregate_demand, capacity, streams). An
+/// allocation is an average (duty-weighted) rate that a flow bursts above
+/// while it streams; `burst_cap` = max(1, capacity / sum(allocation * eff)),
+/// summed in index order, so even simultaneous bursts cannot exceed the link.
+struct RoundFactors {
+  double eff = 1.0;
+  double burst_cap = 1.0;  ///< 1 when nothing is allocated
+};
+[[nodiscard]] RoundFactors round_factors(const CongestionSpec& congestion,
+                                         BitsPerSecond capacity, double aggregate_demand,
+                                         int streams,
+                                         std::span<const BitsPerSecond> allocation);
+
 /// Round size perfbench's fleet replay counts as a waterfill-sized round.
 /// No library code dispatches on it; it goes when that replay drops its
 /// solver rows.
@@ -102,6 +117,10 @@ class LinkArbiter {
   /// Tenant `i`'s slice of the joint allocation (valid until the next
   /// begin_round). Aligned with the demands it submitted.
   [[nodiscard]] std::span<const BitsPerSecond> slice(std::size_t i) const;
+  /// Every slice, in submission order.
+  [[nodiscard]] std::span<const BitsPerSecond> allocation() const noexcept {
+    return allocation_;
+  }
   [[nodiscard]] BitsPerSecond capacity() const noexcept { return capacity_; }
   [[nodiscard]] BitsPerSecond total() const noexcept { return total_; }
 

@@ -131,7 +131,7 @@ void write_rng(std::ostream& os, const char* key, const RngState& s) {
 }
 
 void write_ledgers(std::ostream& os, const char* key,
-                   const std::vector<ServerLedgerEntry>& servers) {
+                   const std::vector<ServerEnergy>& servers) {
   os << key << ' ' << servers.size() << '\n';
   for (const auto& s : servers) {
     // Names come from ServerSpec and contain no whitespace; written last so a
@@ -141,8 +141,8 @@ void write_ledgers(std::ostream& os, const char* key,
   }
 }
 
-std::vector<ServerLedgerEntry> read_ledgers(Parser& p, const char* key) {
-  std::vector<ServerLedgerEntry> out;
+std::vector<ServerEnergy> read_ledgers(Parser& p, const char* key) {
+  std::vector<ServerEnergy> out;
   if (!p.expect(key)) return out;
   const std::uint64_t n = p.read_u64();
   for (std::uint64_t i = 0; i < n && !p.failed; ++i) {
@@ -150,7 +150,7 @@ std::vector<ServerLedgerEntry> read_ledgers(Parser& p, const char* key) {
       p.fail("truncated server ledger");
       break;
     }
-    ServerLedgerEntry e;
+    ServerEnergy e;
     e.joules = p.read_double();
     e.active_time = p.read_double();
     p.fields >> std::ws;

@@ -39,8 +39,9 @@ struct FileCursor {
   Bytes delivered = 0;  ///< bytes durably landed (the restart-marker offset)
 };
 
-/// One server's energy ledger at capture time.
-struct ServerLedgerEntry {
+/// One server's energy ledger: the session keeps one per DTN, and a run's
+/// result and its checkpoints carry copies.
+struct ServerEnergy {
   std::string name;
   Joules joules = 0.0;
   Seconds active_time = 0.0;
@@ -70,7 +71,7 @@ struct TransferCheckpoint {
   /// Chunk assignment of each open channel at capture time (observability
   /// only; a resume re-opens channels from the active plan).
   std::vector<int> channel_chunks;
-  std::vector<ServerLedgerEntry> source_servers, destination_servers;
+  std::vector<ServerEnergy> source_servers, destination_servers;
   RngState jitter_rng{}, victim_rng{}, backoff_rng{}, checksum_rng{};
 
   /// Unique bytes durably delivered at capture time (needs the dataset for

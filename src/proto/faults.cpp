@@ -88,52 +88,4 @@ Seconds retry_backoff_delay(const RetryPolicy& retry, int failures, Rng& rng) {
   return std::max(d, 0.0);
 }
 
-FaultInjector::FaultInjector(sim::Simulation& sim, const FaultPlan& plan,
-                             FaultHost& host, Seconds origin)
-    : sim_(sim), plan_(plan), host_(host), origin_(origin),
-      arrival_rng_(Rng(plan.seed).fork("fault-arrivals")) {}
-
-FaultInjector::~FaultInjector() {
-  // Cancelling fired or already-cancelled events is a no-op, so this is
-  // exactly "whatever of mine is still pending, take it off the queue".
-  for (const auto& id : pending_) sim_.cancel(id);
-  sim_.cancel(stochastic_);
-}
-
-void FaultInjector::arm() {
-  for (const auto& d : plan_.channel_drops) {
-    pending_.push_back(sim_.schedule_at(
-        origin_ + d.time, [this, d] { host_.fault_drop_channel(d.channel); }));
-  }
-  for (const auto& o : plan_.outages) {
-    pending_.push_back(sim_.schedule_at(origin_ + o.start, [this, o] {
-      host_.fault_server_state(o.source_side, o.server, /*up=*/false);
-    }));
-    pending_.push_back(
-        sim_.schedule_at(origin_ + (o.start + o.duration), [this, o] {
-          host_.fault_server_state(o.source_side, o.server, /*up=*/true);
-        }));
-  }
-  for (const auto& b : plan_.brownouts) {
-    pending_.push_back(sim_.schedule_at(
-        origin_ + b.start, [this, b] { host_.fault_path_factor(b.capacity_factor); }));
-    pending_.push_back(sim_.schedule_at(origin_ + (b.start + b.duration),
-                                        [this] { host_.fault_path_factor(1.0); }));
-  }
-  if (plan_.stochastic.channel_drop_rate > 0.0) schedule_next_stochastic_drop();
-}
-
-void FaultInjector::schedule_next_stochastic_drop() {
-  // Poisson arrivals: exponential inter-arrival times. The chain re-arms
-  // itself after every firing, so the arrival process runs for the whole
-  // simulation; drops that find no live channel are simply absorbed by the
-  // host as no-ops.
-  const double u = arrival_rng_.uniform01();
-  const Seconds gap = -std::log(1.0 - u) / plan_.stochastic.channel_drop_rate;
-  stochastic_ = sim_.schedule_after(gap, [this] {
-    host_.fault_drop_channel(-1);
-    schedule_next_stochastic_drop();
-  });
-}
-
 }  // namespace eadt::proto

@@ -4,9 +4,9 @@
 // failure-free: data channels stall and die, whole DTN servers drop out for
 // maintenance or crash, paths brown out under cross-traffic, and end-to-end
 // checksums occasionally reject a landed file. A FaultPlan describes such a
-// failure workload — scheduled events plus seeded-stochastic ones — and a
-// FaultInjector replays it off the sim::Simulation event queue, calling back
-// into the engine through the narrow FaultHost interface.
+// failure workload — scheduled events plus seeded-stochastic ones — and the
+// TransferSession that runs it schedules those events on its
+// sim::Simulation's queue (TransferSession::arm_faults).
 //
 // Determinism: every stochastic element (Poisson drop arrivals, victim
 // selection, backoff jitter, checksum verdicts) draws from named forks of a
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -137,50 +136,6 @@ struct FaultStats {
   Joules wasted_joules = 0.0; ///< end-system energy attributed to wasted bytes
   Seconds channel_downtime = 0.0;  ///< channel-slot seconds spent in backoff / stranded
   Seconds server_downtime = 0.0;   ///< server seconds out of service during the run
-};
-
-/// The engine half of the injection contract; TransferSession implements it.
-class FaultHost {
- public:
-  virtual ~FaultHost() = default;
-  /// Kill a live channel (`index` as in ChannelDropEvent::channel).
-  virtual void fault_drop_channel(int index) = 0;
-  /// Mark one server down/up and displace / re-admit its channels.
-  virtual void fault_server_state(bool source_side, std::size_t server, bool up) = 0;
-  /// Scale the shared path capacity (1.0 = nominal).
-  virtual void fault_path_factor(double factor) = 0;
-};
-
-/// Replays a FaultPlan onto a FaultHost via the simulation event queue.
-/// Construct once per run, then arm() before the first tick. Plan event
-/// times are attempt-local; `origin` shifts them onto the simulation clock,
-/// so a session admitted mid-timeline on a shared simulation
-/// (exp::Scheduler) still sees the plan relative to its own start. The
-/// default origin of 0 is the owned-simulation case and adds exactly
-/// nothing. The destructor cancels every still-pending plan event, so a
-/// session can be destroyed (preempted, completed) while the shared
-/// simulation keeps running — its fault callbacks must not outlive it.
-class FaultInjector {
- public:
-  FaultInjector(sim::Simulation& sim, const FaultPlan& plan, FaultHost& host,
-                Seconds origin = 0.0);
-  ~FaultInjector();
-  FaultInjector(const FaultInjector&) = delete;
-  FaultInjector& operator=(const FaultInjector&) = delete;
-
-  /// Schedule every plan event (and the first stochastic arrival).
-  void arm();
-
- private:
-  void schedule_next_stochastic_drop();
-
-  sim::Simulation& sim_;
-  const FaultPlan& plan_;
-  FaultHost& host_;
-  Seconds origin_ = 0.0;
-  Rng arrival_rng_;
-  std::vector<sim::EventId> pending_;  ///< arm()'s one-shot plan events
-  sim::EventId stochastic_;            ///< the chain's single in-flight arrival
 };
 
 }  // namespace eadt::proto

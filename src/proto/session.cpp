@@ -47,14 +47,20 @@ struct TransferSession::ObsState {
   std::vector<char> lane_used;           // channel-lease track allocator
   std::vector<double> chunk_energy;      // per-chunk energy share, this leg
   bool transfer_span_open = false;
-  // Per-server power attribution: counter-track names (interned once) and
-  // the joule ledger as of the previous sample, so each sample publishes the
-  // window's average draw per server rather than the lifetime total.
-  std::vector<const char*> src_power_names, dst_power_names;
-  std::vector<double> src_joules_prev, dst_joules_prev;
+  // Per-server power attribution, per side: counter-track names (interned
+  // once) and the joule ledger as of the previous sample, so each sample
+  // publishes the window's average draw per server rather than the lifetime
+  // total.
+  std::vector<const char*> power_names[2];
+  std::vector<double> joules_prev[2];
 };
 
-TransferSession::~TransferSession() = default;
+TransferSession::~TransferSession() {
+  // Cancelling a fired or already cancelled event is a no-op, so this is
+  // exactly "whatever of the plan is still pending, take it off the queue".
+  for (const auto& id : fault_events_) sim_.cancel(id);
+  sim_.cancel(next_drop_);
+}
 
 TransferSession::TransferSession(const Environment& env, const Dataset& dataset,
                                  TransferPlan plan, SessionConfig config)
@@ -112,12 +118,13 @@ TransferSession::TransferSession(sim::Simulation* external, const Environment& e
   } else {
     target_concurrency_ = std::max(1, plan_.total_channels());
   }
-  for (const auto& s : env_.source.servers) src_energy_.push_back({s.name, 0.0, 0.0});
-  for (const auto& s : env_.destination.servers) dst_energy_.push_back({s.name, 0.0, 0.0});
-  src_srv_up_.assign(env_.source.servers.size(), 1);
-  dst_srv_up_.assign(env_.destination.servers.size(), 1);
-  src_srv_down_since_.assign(env_.source.servers.size(), 0.0);
-  dst_srv_down_since_.assign(env_.destination.servers.size(), 0.0);
+  sides_[0].endpoint = &env_.source;
+  sides_[1].endpoint = &env_.destination;
+  for (Side& side : sides_) {
+    for (const auto& s : side.endpoint->servers) side.energy.push_back({s.name, 0.0, 0.0});
+    side.up.assign(side.energy.size(), 1);
+    side.down_since.assign(side.energy.size(), 0.0);
+  }
 }
 
 void TransferSession::set_fault_plan(FaultPlan plan) {
@@ -126,6 +133,7 @@ void TransferSession::set_fault_plan(FaultPlan plan) {
   victim_rng_ = root.fork("victims");
   backoff_rng_ = root.fork("backoff");
   checksum_rng_ = root.fork("checksum");
+  arrival_rng_ = root.fork("fault-arrivals");
 }
 
 TransferCheckpoint TransferSession::make_checkpoint() const {
@@ -166,10 +174,8 @@ TransferCheckpoint TransferSession::make_checkpoint() const {
             [](const FileCursor& a, const FileCursor& b) { return a.file_id < b.file_id; });
 
   for (const auto& ch : channels_) c.channel_chunks.push_back(ch.chunk);
-  for (const auto& s : src_energy_) c.source_servers.push_back({s.name, s.joules, s.active_time});
-  for (const auto& s : dst_energy_) {
-    c.destination_servers.push_back({s.name, s.joules, s.active_time});
-  }
+  c.source_servers = sides_[0].energy;
+  c.destination_servers = sides_[1].energy;
   c.jitter_rng = jitter_rng_.state();
   c.victim_rng = victim_rng_.state();
   c.backoff_rng = backoff_rng_.state();
@@ -187,9 +193,12 @@ bool TransferSession::resume_from(const TransferCheckpoint& checkpoint,
     return fail("checkpoint was taken against a different dataset "
                 "(fingerprint mismatch)");
   }
-  if (checkpoint.source_servers.size() != src_energy_.size() ||
-      checkpoint.destination_servers.size() != dst_energy_.size()) {
-    return fail("checkpoint server ledgers do not match this environment");
+  const std::vector<ServerEnergy>* ledgers[2] = {&checkpoint.source_servers,
+                                                 &checkpoint.destination_servers};
+  for (std::size_t k = 0; k < 2; ++k) {
+    if (ledgers[k]->size() != sides_[k].energy.size()) {
+      return fail("checkpoint server ledgers do not match this environment");
+    }
   }
   // A journal is input read back from disk: refuse one no session could have
   // written. Counts are never negative; times and energies are finite and
@@ -218,7 +227,7 @@ bool TransferSession::resume_from(const TransferCheckpoint& checkpoint,
   for (const auto& [name, v] : amounts) {
     if (!valid(v)) return fail(std::string("checkpoint ") + name + " is negative or not finite");
   }
-  for (const auto* ledger : {&checkpoint.source_servers, &checkpoint.destination_servers}) {
+  for (const auto* ledger : ledgers) {
     for (const auto& s : *ledger) {
       if (!valid(s.joules) || !valid(s.active_time)) {
         return fail("checkpoint ledger of server " + s.name +
@@ -269,13 +278,11 @@ bool TransferSession::resume_from(const TransferCheckpoint& checkpoint,
   network_energy_ = checkpoint.network_energy;
   fault_stats_ = checkpoint.faults;
   quarantined_ = checkpoint.quarantined_channels;
-  for (std::size_t s = 0; s < src_energy_.size(); ++s) {
-    src_energy_[s].joules = checkpoint.source_servers[s].joules;
-    src_energy_[s].active_time = checkpoint.source_servers[s].active_time;
-  }
-  for (std::size_t s = 0; s < dst_energy_.size(); ++s) {
-    dst_energy_[s].joules = checkpoint.destination_servers[s].joules;
-    dst_energy_[s].active_time = checkpoint.destination_servers[s].active_time;
+  for (std::size_t k = 0; k < 2; ++k) {
+    for (std::size_t s = 0; s < sides_[k].energy.size(); ++s) {
+      sides_[k].energy[s].joules = (*ledgers[k])[s].joules;
+      sides_[k].energy[s].active_time = (*ledgers[k])[s].active_time;
+    }
   }
   // Continue the stochastic history instead of replaying it (set_fault_plan
   // reseeded these; resume must run after it).
@@ -430,25 +437,24 @@ void TransferSession::assign_channel(Channel& ch, int chunk) {
   layout_dirty_ = true;  // open_channel comes through here too
 }
 
-bool TransferSession::server_up(bool source_side, std::size_t server) const {
-  const auto& ups = source_side ? src_srv_up_ : dst_srv_up_;
+bool TransferSession::server_up(std::size_t side, std::size_t server) const {
+  const auto& ups = sides_[side].up;
   return server < ups.size() ? ups[server] != 0 : true;
 }
 
-std::optional<std::size_t> TransferSession::pick_server(bool source_side) {
-  const std::size_t n = source_side ? env_.source.servers.size()
-                                    : env_.destination.servers.size();
+std::optional<std::size_t> TransferSession::pick_server(std::size_t side) {
+  const std::size_t n = sides_[side].up.size();
   if (n == 0) return std::size_t{0};  // degenerate config; preserve old behaviour
   if (plan_.placement == Placement::kPacked) {
     for (std::size_t s = 0; s < n; ++s) {
-      if (server_up(source_side, s)) return s;
+      if (server_up(side, s)) return s;
     }
     return std::nullopt;
   }
-  std::size_t& cursor = source_side ? rr_src_ : rr_dst_;
+  std::size_t& cursor = sides_[side].rr;
   for (std::size_t tries = 0; tries < n; ++tries) {
     const std::size_t s = cursor++ % n;
-    if (server_up(source_side, s)) return s;
+    if (server_up(side, s)) return s;
   }
   return std::nullopt;
 }
@@ -456,11 +462,13 @@ std::optional<std::size_t> TransferSession::pick_server(bool source_side) {
 void TransferSession::open_channel(int chunk) {
   Channel ch;
   assign_channel(ch, chunk);
-  const auto src = pick_server(true);
-  const auto dst = pick_server(false);
-  ch.src_server = src.value_or(0);
-  ch.dst_server = dst.value_or(0);
-  if (!src || !dst) {
+  bool placed = true;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const auto s = pick_server(k);
+    ch.server[k] = s.value_or(0);
+    placed = placed && s.has_value();
+  }
+  if (!placed) {
     // The whole side is down: the channel strands until a recovery event.
     ch.down = true;
     ch.stranded = true;
@@ -520,6 +528,36 @@ Seconds TransferSession::backoff_delay(int failures) {
   return retry_backoff_delay(faults_.retry, failures, backoff_rng_);
 }
 
+void TransferSession::arm_faults() {
+  const auto at = [this](Seconds t, std::function<void()> fn) {
+    fault_events_.push_back(sim_.schedule_at(start_time_ + t, std::move(fn)));
+  };
+  for (const auto& d : faults_.channel_drops) {
+    at(d.time, [this, i = d.channel] { fault_drop_channel(i); });
+  }
+  for (const auto& o : faults_.outages) {
+    const std::size_t side = o.source_side ? 0 : 1;
+    at(o.start, [this, side, s = o.server] { fault_server_state(side, s, /*up=*/false); });
+    at(o.start + o.duration,
+       [this, side, s = o.server] { fault_server_state(side, s, /*up=*/true); });
+  }
+  for (const auto& b : faults_.brownouts) {
+    at(b.start, [this, f = b.capacity_factor] { fault_path_factor(f); });
+    at(b.start + b.duration, [this] { fault_path_factor(1.0); });
+  }
+  if (faults_.stochastic.channel_drop_rate > 0.0) schedule_next_stochastic_drop();
+}
+
+void TransferSession::schedule_next_stochastic_drop() {
+  // Drops that find no live channel dissipate as no-ops.
+  const double u = arrival_rng_.uniform01();
+  const Seconds gap = -std::log(1.0 - u) / faults_.stochastic.channel_drop_rate;
+  next_drop_ = sim_.schedule_after(gap, [this] {
+    fault_drop_channel(-1);
+    schedule_next_stochastic_drop();
+  });
+}
+
 void TransferSession::fault_drop_channel(int index) {
   std::vector<std::size_t> live;
   for (std::size_t i = 0; i < channels_.size(); ++i) {
@@ -561,16 +599,15 @@ void TransferSession::fault_drop_channel(int index) {
   }
 }
 
-void TransferSession::fault_server_state(bool source_side, std::size_t server, bool up) {
-  auto& ups = source_side ? src_srv_up_ : dst_srv_up_;
-  auto& since = source_side ? src_srv_down_since_ : dst_srv_down_since_;
+void TransferSession::fault_server_state(std::size_t side, std::size_t server, bool up) {
+  auto& ups = sides_[side].up;
+  auto& since = sides_[side].down_since;
   if (server >= ups.size()) return;
-  if (obs_ != nullptr && config_.obs->trace != nullptr && server < ups.size() &&
-      (ups[server] != 0) != up) {
+  if (obs_ != nullptr && config_.obs->trace != nullptr && (ups[server] != 0) != up) {
     config_.obs->trace->instant(abs_now(), obs::kControlTid,
                                 up ? "server-recovered" : "server-outage", "fault",
                                 {"server", static_cast<double>(server)},
-                                {"source_side", source_side ? 1.0 : 0.0});
+                                {"source_side", side == 0 ? 1.0 : 0.0});
   }
   if (!up) {
     if (ups[server] == 0) return;
@@ -581,15 +618,14 @@ void TransferSession::fault_server_state(bool source_side, std::size_t server, b
     // Displace every channel on the dead server. Server loss does not count
     // against the channel's own retry budget — the slot did nothing wrong.
     for (auto& ch : channels_) {
-      const std::size_t at = source_side ? ch.src_server : ch.dst_server;
-      if (at != server) continue;
+      if (ch.server[side] != server) continue;
       requeue_inflight(ch);
       if (!ch.down) ch.down_since = sim_.now();
       ch.down = true;
       ch.cold = true;
-      const auto repl = pick_server(source_side);
+      const auto repl = pick_server(side);
       if (repl) {
-        (source_side ? ch.src_server : ch.dst_server) = *repl;
+        ch.server[side] = *repl;
         ch.down_until = std::max(ch.down_until, sim_.now() + backoff_delay(1));
       } else {
         ch.stranded = true;  // whole side down: wait for a recovery event
@@ -599,19 +635,18 @@ void TransferSession::fault_server_state(bool source_side, std::size_t server, b
     if (ups[server] != 0) return;
     ups[server] = 1;
     fault_stats_.server_downtime += sim_.now() - since[server];
-    // Re-admit stranded channels whose dead side just recovered.
+    // Re-admit stranded channels whose dead side just recovered; one whose
+    // other side is still all down stays stranded.
     for (auto& ch : channels_) {
       if (!ch.stranded) continue;
-      if (!server_up(true, ch.src_server)) {
-        const auto s = pick_server(true);
-        if (!s) continue;
-        ch.src_server = *s;
+      bool placed = true;
+      for (std::size_t k = 0; k < 2 && placed; ++k) {
+        if (server_up(k, ch.server[k])) continue;
+        const auto s = pick_server(k);
+        placed = s.has_value();
+        if (placed) ch.server[k] = *s;
       }
-      if (!server_up(false, ch.dst_server)) {
-        const auto s = pick_server(false);
-        if (!s) continue;
-        ch.dst_server = *s;
-      }
+      if (!placed) continue;
       ch.stranded = false;
       ch.down_until = sim_.now() + backoff_delay(1);
     }
@@ -682,17 +717,14 @@ void TransferSession::obs_begin_run() {
           tb->intern("chunk " + std::to_string(c) + " (" + cls + ")"));
       st.lease_names.push_back(tb->intern(std::string("lease ") + cls));
     }
-    st.src_power_names.reserve(src_energy_.size());
-    st.src_joules_prev.reserve(src_energy_.size());
-    for (const auto& s : src_energy_) {
-      st.src_power_names.push_back(tb->intern("power.src." + s.name + "_w"));
-      st.src_joules_prev.push_back(s.joules);  // resumed legs: delta from here
-    }
-    st.dst_power_names.reserve(dst_energy_.size());
-    st.dst_joules_prev.reserve(dst_energy_.size());
-    for (const auto& s : dst_energy_) {
-      st.dst_power_names.push_back(tb->intern("power.dst." + s.name + "_w"));
-      st.dst_joules_prev.push_back(s.joules);
+    for (std::size_t k = 0; k < 2; ++k) {
+      const std::string prefix = k == 0 ? "power.src." : "power.dst.";
+      st.power_names[k].reserve(sides_[k].energy.size());
+      st.joules_prev[k].reserve(sides_[k].energy.size());
+      for (const auto& s : sides_[k].energy) {
+        st.power_names[k].push_back(tb->intern(prefix + s.name + "_w"));
+        st.joules_prev[k].push_back(s.joules);  // resumed legs: delta from here
+      }
     }
     tb->begin(abs_now(), obs::kControlTid, "transfer", "session",
               {"bytes", static_cast<double>(total_bytes_)},
@@ -791,15 +823,13 @@ void TransferSession::obs_sample(const SampleStats& s) {
   // sum of these tracks (plus nothing else), so a capacity question — which
   // server carries the watts when channels pack vs spread — reads straight
   // off the trace.
-  for (std::size_t i = 0; i < st.src_power_names.size(); ++i) {
-    const double delta = src_energy_[i].joules - st.src_joules_prev[i];
-    st.src_joules_prev[i] = src_energy_[i].joules;
-    tb->counter(s.window_end, st.src_power_names[i], d > 0.0 ? delta / d : 0.0);
-  }
-  for (std::size_t i = 0; i < st.dst_power_names.size(); ++i) {
-    const double delta = dst_energy_[i].joules - st.dst_joules_prev[i];
-    st.dst_joules_prev[i] = dst_energy_[i].joules;
-    tb->counter(s.window_end, st.dst_power_names[i], d > 0.0 ? delta / d : 0.0);
+  for (std::size_t k = 0; k < 2; ++k) {
+    for (std::size_t i = 0; i < st.power_names[k].size(); ++i) {
+      const double joules = sides_[k].energy[i].joules;
+      const double delta = joules - st.joules_prev[k][i];
+      st.joules_prev[k][i] = joules;
+      tb->counter(s.window_end, st.power_names[k][i], d > 0.0 ? delta / d : 0.0);
+    }
   }
 }
 
@@ -944,16 +974,16 @@ Seconds TransferSession::slow_start(Bytes size, double warm) const {
 
 void TransferSession::rebuild_layout() {
   layout_dirty_ = false;
-  src_procs_.assign(env_.source.servers.size(), 0);
-  src_threads_.assign(env_.source.servers.size(), 0);
-  dst_procs_.assign(env_.destination.servers.size(), 0);
-  dst_threads_.assign(env_.destination.servers.size(), 0);
+  for (Side& side : sides_) {
+    side.procs.assign(side.up.size(), 0);
+    side.threads.assign(side.up.size(), 0);
+  }
   for (const auto& ch : channels_) {
     if (ch.down) continue;  // a dead connection holds no server processes
-    ++src_procs_[ch.src_server];
-    src_threads_[ch.src_server] += ch.parallelism;
-    ++dst_procs_[ch.dst_server];
-    dst_threads_[ch.dst_server] += ch.parallelism;
+    for (std::size_t k = 0; k < 2; ++k) {
+      ++sides_[k].procs[ch.server[k]];
+      sides_[k].threads[ch.server[k]] += ch.parallelism;
+    }
   }
 
   // With the per-server counts fixed, a channel's pre-duty cap is the
@@ -961,15 +991,16 @@ void TransferSession::rebuild_layout() {
   const BitsPerSecond window_cap = net::stream_window_cap(env_.path);
   for (auto& ch : channels_) {
     if (ch.down) continue;
-    const auto& src = env_.source.servers[ch.src_server];
-    const auto& dst = env_.destination.servers[ch.dst_server];
-    const BitsPerSecond cpu_src = host::channel_cpu_cap(
-        src, src_procs_[ch.src_server], src_threads_[ch.src_server], ch.parallelism);
-    const BitsPerSecond cpu_dst = host::channel_cpu_cap(
-        dst, dst_procs_[ch.dst_server], dst_threads_[ch.dst_server], ch.parallelism);
-    ch.base_cap = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu_src,
-                            cpu_dst, host::channel_stream_cap(src, ch.parallelism),
-                            host::channel_stream_cap(dst, ch.parallelism)});
+    BitsPerSecond cpu[2], stream[2];
+    for (std::size_t k = 0; k < 2; ++k) {
+      const std::size_t s = ch.server[k];
+      const auto& spec = sides_[k].endpoint->servers[s];
+      cpu[k] = host::channel_cpu_cap(spec, sides_[k].procs[s], sides_[k].threads[s],
+                                     ch.parallelism);
+      stream[k] = host::channel_stream_cap(spec, ch.parallelism);
+    }
+    ch.base_cap = std::min({static_cast<double>(ch.parallelism) * window_cap, cpu[0],
+                            cpu[1], stream[0], stream[1]});
   }
 }
 
@@ -1009,28 +1040,25 @@ void TransferSession::collect_link_demands() {
   // overheads donates its slack to streaming channels (this is what lets a
   // multi-chunk schedule beat sequential phases). Each busy channel keeps
   // the smaller of its cap and its share (net::unit_fill_clamp).
-  auto apply_disk_pool = [&](const std::vector<host::ServerSpec>& servers,
-                             bool source_side, const std::vector<int>& procs) {
-    for (std::size_t s = 0; s < servers.size(); ++s) {
-      if (procs[s] <= 0) continue;
-      const BitsPerSecond pool = host::disk_aggregate_bandwidth(servers[s].disk, procs[s]);
-      auto& pool_caps = scratch_.pool_caps;
-      auto& idx = scratch_.pool_index;
+  auto& pool_caps = scratch_.pool_caps;
+  auto& idx = scratch_.pool_index;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const Side& side = sides_[k];
+    for (std::size_t s = 0; s < side.procs.size(); ++s) {
+      if (side.procs[s] <= 0) continue;
+      const BitsPerSecond pool =
+          host::disk_aggregate_bandwidth(side.endpoint->servers[s].disk, side.procs[s]);
       pool_caps.clear();
       idx.clear();
       for (std::size_t i = 0; i < channels_.size(); ++i) {
-        const std::size_t at = source_side ? channels_[i].src_server
-                                           : channels_[i].dst_server;
-        if (at != s || !channels_[i].busy) continue;
+        if (channels_[i].server[k] != s || !channels_[i].busy) continue;
         pool_caps.push_back(caps[i]);
         idx.push_back(i);
       }
       net::unit_fill_clamp(pool, pool_caps, scratch_.fair_share);
-      for (std::size_t k = 0; k < idx.size(); ++k) caps[idx[k]] = pool_caps[k];
+      for (std::size_t j = 0; j < idx.size(); ++j) caps[idx[j]] = pool_caps[j];
     }
-  };
-  apply_disk_pool(env_.source.servers, true, src_procs_);
-  apply_disk_pool(env_.destination.servers, false, dst_procs_);
+  }
 
   auto& demands = scratch_.link_demands;
   demands.assign(channels_.size(), net::Demand{});
@@ -1081,28 +1109,23 @@ void TransferSession::apply_link_allocation(std::span<const BitsPerSecond> alloc
   // NIC ceilings per server: proportional scale-down if the *average* load
   // (burst rate x duty) oversubscribes the card. A server with no live
   // process carries only down channels, whose rates are 0: its sum is +0.
-  auto nic_scale = [&](const std::vector<host::ServerSpec>& servers, bool source_side,
-                       const std::vector<int>& procs) {
-    for (std::size_t s = 0; s < servers.size(); ++s) {
-      if (servers[s].nic_speed <= 0.0 || procs[s] == 0) continue;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const Side& side = sides_[k];
+    for (std::size_t s = 0; s < side.procs.size(); ++s) {
+      const BitsPerSecond nic = side.endpoint->servers[s].nic_speed;
+      if (nic <= 0.0 || side.procs[s] == 0) continue;
       double sum = 0.0;
       for (std::size_t i = 0; i < channels_.size(); ++i) {
-        const std::size_t at =
-            source_side ? channels_[i].src_server : channels_[i].dst_server;
-        if (at == s) sum += channels_[i].rate * duty[i];
+        if (channels_[i].server[k] == s) sum += channels_[i].rate * duty[i];
       }
-      if (sum > servers[s].nic_speed) {
-        const double f = servers[s].nic_speed / sum;
-        for (std::size_t i = 0; i < channels_.size(); ++i) {
-          const std::size_t at =
-              source_side ? channels_[i].src_server : channels_[i].dst_server;
-          if (at == s) channels_[i].rate *= f;
+      if (sum > nic) {
+        const double f = nic / sum;
+        for (auto& ch : channels_) {
+          if (ch.server[k] == s) ch.rate *= f;
         }
       }
     }
-  };
-  nic_scale(env_.source.servers, true, src_procs_);
-  nic_scale(env_.destination.servers, false, dst_procs_);
+  }
 }
 
 void TransferSession::allocate_rates() {
@@ -1113,19 +1136,9 @@ void TransferSession::allocate_rates() {
   auto& link_alloc = scratch_.link_alloc;
   net::fair_share_reference_into(capacity, scratch_.link_demands, link_alloc,
                                  scratch_.fair_share);
-  const double eff = net::congestion_efficiency(env_.congestion, agg_demand_,
-                                                capacity, agg_streams_);
-
-  // The allocation is an *average* rate (duty-weighted demand); while a
-  // channel is actually streaming it bursts above it — but the burst factor
-  // is capped so that even simultaneous bursts cannot exceed the link.
-  double total_avg = 0.0;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    total_avg += link_alloc[i] * eff;
-  }
-  const double burst_cap =
-      total_avg > 0.0 ? std::max(1.0, capacity / total_avg) : 1.0;
-  apply_link_allocation(link_alloc, eff, burst_cap);
+  const net::RoundFactors f =
+      net::round_factors(env_.congestion, capacity, agg_demand_, agg_streams_, link_alloc);
+  apply_link_allocation(link_alloc, f.eff, f.burst_cap);
 }
 
 void TransferSession::advance_channels(Seconds dt) {
@@ -1184,32 +1197,31 @@ Joules TransferSession::account_energy(Seconds dt) {
   // Processes and threads come from the layout, which no fault has moved
   // since this tick's collect_link_demands(); a server with neither draws
   // no power.
-  auto account_side = [&](const Endpoint& ep, std::vector<ServerEnergy>& store,
-                          bool source_side, const std::vector<int>& procs,
-                          const std::vector<int>& threads) {
-    for (std::size_t s = 0; s < ep.servers.size(); ++s) {
-      if (procs[s] == 0) continue;
+  for (std::size_t k = 0; k < 2; ++k) {
+    Side& side = sides_[k];
+    const Endpoint& ep = *side.endpoint;
+    for (std::size_t s = 0; s < side.procs.size(); ++s) {
+      if (side.procs[s] == 0) continue;
       host::HostLoad load;
-      load.processes = procs[s];
-      load.threads = threads[s];
-      load.buffered = static_cast<Bytes>(threads[s]) * env_.path.tcp_buffer;
+      load.processes = side.procs[s];
+      load.threads = side.threads[s];
+      load.buffered = static_cast<Bytes>(side.threads[s]) * env_.path.tcp_buffer;
       for (const auto& ch : channels_) {
         if (ch.down) continue;  // no process, no load, no power draw
-        const std::size_t at = source_side ? ch.src_server : ch.dst_server;
-        if (at == s) load.goodput += static_cast<double>(ch.moved_this_tick) * 8.0 / dt;
+        if (ch.server[k] == s) {
+          load.goodput += static_cast<double>(ch.moved_this_tick) * 8.0 / dt;
+        }
       }
       load.disk_io = load.goodput;
       const auto u = host::utilization(ep.servers[s], load);
       const int n = host::active_cores(ep.servers[s], load);
       const Watts p = power::fine_grained_power(ep.power, n, u);
-      store[s].joules += p * dt;
-      store[s].active_time += dt;
+      side.energy[s].joules += p * dt;
+      side.energy[s].active_time += dt;
       window_energy_ += p * dt;
       tick_energy += p * dt;
     }
-  };
-  account_side(env_.source, src_energy_, true, src_procs_, src_threads_);
-  account_side(env_.destination, dst_energy_, false, dst_procs_, dst_threads_);
+  }
 
   for (const auto& ch : channels_) tick_bytes += ch.moved_this_tick;
   last_tick_bytes_ = tick_bytes;
@@ -1297,15 +1309,11 @@ bool TransferSession::advance_commit() {
   return !done;
 }
 
-bool TransferSession::advance_tick() {
-  advance_compute();
-  return advance_commit();
-}
-
 bool TransferSession::tick() {
   tick_prepare();
   allocate_rates();
-  return advance_tick();
+  advance_compute();
+  return advance_commit();
 }
 
 std::optional<std::string> TransferSession::begin(Controller* controller) {
@@ -1326,12 +1334,7 @@ std::optional<std::string> TransferSession::begin(Controller* controller) {
   obs_begin_run();  // before rebalance(), so the first leases are traced
   rebalance();
 
-  if (faults_.active()) {
-    injector_ = std::make_unique<FaultInjector>(sim_, faults_,
-                                                *static_cast<FaultHost*>(this),
-                                                start_time_);
-    injector_->arm();
-  }
+  if (faults_.active()) arm_faults();
 
   // Sampling windows land every sample_interval: reserving them up front
   // keeps steady-state ticks allocation-free (bounded so a week-long default
@@ -1388,14 +1391,11 @@ RunResult TransferSession::finalize(bool completed, Seconds end_raw) {
       fault_stats_.channel_downtime += end_raw - ch.down_since;
     }
   }
-  for (std::size_t s = 0; s < src_srv_up_.size(); ++s) {
-    if (src_srv_up_[s] == 0 && end_raw > src_srv_down_since_[s]) {
-      fault_stats_.server_downtime += end_raw - src_srv_down_since_[s];
-    }
-  }
-  for (std::size_t s = 0; s < dst_srv_up_.size(); ++s) {
-    if (dst_srv_up_[s] == 0 && end_raw > dst_srv_down_since_[s]) {
-      fault_stats_.server_downtime += end_raw - dst_srv_down_since_[s];
+  for (const Side& side : sides_) {
+    for (std::size_t s = 0; s < side.up.size(); ++s) {
+      if (side.up[s] == 0 && end_raw > side.down_since[s]) {
+        fault_stats_.server_downtime += end_raw - side.down_since[s];
+      }
     }
   }
   res.faults = fault_stats_;
@@ -1405,10 +1405,11 @@ RunResult TransferSession::finalize(bool completed, Seconds end_raw) {
   }
   res.sim_counters = sim_.counters();
   res.samples = std::move(samples_);
-  res.source_servers = src_energy_;
-  res.destination_servers = dst_energy_;
-  for (const auto& s : src_energy_) res.end_system_energy += s.joules;
-  for (const auto& s : dst_energy_) res.end_system_energy += s.joules;
+  res.source_servers = sides_[0].energy;
+  res.destination_servers = sides_[1].energy;
+  for (const Side& side : sides_) {
+    for (const auto& s : side.energy) res.end_system_energy += s.joules;
+  }
   obs_end_run(local_end, res);
   return res;
 }

@@ -19,6 +19,7 @@
 // runs of the same (environment, dataset, plan) are bit-identical.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <deque>
 #include <memory>
@@ -40,12 +41,6 @@ struct ObsSinks;
 }  // namespace eadt::obs
 
 namespace eadt::proto {
-
-struct ServerEnergy {
-  std::string name;
-  Joules joules = 0.0;
-  Seconds active_time = 0.0;
-};
 
 struct RunResult {
   Seconds duration = 0.0;
@@ -108,7 +103,7 @@ struct SessionConfig {
   obs::ObsSinks* obs = nullptr;
 };
 
-class TransferSession : private FaultHost {
+class TransferSession {
  public:
   TransferSession(const Environment& env, const Dataset& dataset, TransferPlan plan,
                   SessionConfig config = {});
@@ -119,7 +114,8 @@ class TransferSession : private FaultHost {
   /// this is behaviourally identical to the owning constructor.
   TransferSession(sim::Simulation& sim, const Environment& env, const Dataset& dataset,
                   TransferPlan plan, SessionConfig config = {});
-  ~TransferSession();  // out of line: ObsState is incomplete here
+  /// Cancels the plan events still pending: a shared simulation outlives it.
+  ~TransferSession();
 
   /// Install a failure workload; call before run(). A default-constructed
   /// (inactive) plan — also the default — leaves the engine byte-identical
@@ -133,13 +129,14 @@ class TransferSession : private FaultHost {
   // exp::Scheduler drives several sessions on one Simulation by calling
   // these phases each master tick; link arbitration is lifted out of the
   // session so all tenants contend in one net::fair_share round. run() is
-  // exactly begin + {tick_prepare, allocate_rates, advance_tick} per tick +
-  // finalize, so the single-session path shares every line of this code.
+  // exactly begin + {tick_prepare, allocate_rates, advance_compute,
+  // advance_commit} per tick + finalize, so the single-session path shares
+  // every line of this code.
 
   /// Start the session on its simulation: validates the fault plan, records
   /// the current clock as the session epoch, opens observability, builds the
-  /// initial channel set, and arms the fault injector. Returns an error
-  /// message instead when the run refuses to start.
+  /// initial channel set, and schedules the fault plan's events. Returns an
+  /// error message instead when the run refuses to start.
   [[nodiscard]] std::optional<std::string> begin(Controller* controller = nullptr);
   /// Tick phase 1: revive backed-off channels, feed idle ones, rebalance.
   void tick_prepare();
@@ -167,18 +164,14 @@ class TransferSession : private FaultHost {
   [[nodiscard]] double aggregate_demand() const noexcept { return agg_demand_; }
   [[nodiscard]] int aggregate_streams() const noexcept { return agg_streams_; }
   /// Tick phase 2b: turn an arbitration result (this session's slice of the
-  /// joint allocation, plus the shared efficiency and burst factors) into
-  /// per-channel rates. `alloc` must align with link_demands().
+  /// joint allocation, plus the round's net::round_factors) into per-channel
+  /// rates. `alloc` must align with link_demands().
   void apply_link_allocation(std::span<const BitsPerSecond> alloc, double eff,
                              double burst_cap);
-  /// Tick phase 3: move bytes, account energy, emit samples.
-  /// Returns false once every queue is drained (the transfer is complete).
-  /// Exactly advance_compute() followed by advance_commit(); a shared-
-  /// simulation driver may call the halves itself to run many sessions'
-  /// compute, then their commits, sharded across workers (MODEL.md §16).
-  [[nodiscard]] bool advance_tick();
-  /// Tick phase 3a — the parallel-safe half of advance_tick(): move bytes
-  /// through the channels and account this tick's energy. Touches only this
+  /// Tick phase 3a: move bytes through the channels and account this tick's
+  /// energy. Phase 3b, advance_commit(), follows; a shared-simulation driver
+  /// may run many sessions' compute, then their commits, sharded across
+  /// workers (MODEL.md §16). Touches only this
   /// session's state (its channels, queues, ledgers and seeded RNG streams),
   /// never the shared Simulation, so disjoint sessions may run it
   /// concurrently with bit-identical results.
@@ -206,7 +199,6 @@ class TransferSession : private FaultHost {
   [[nodiscard]] int open_channel_count() const noexcept {
     return static_cast<int>(channels_.size());
   }
-  [[nodiscard]] const Environment& environment() const noexcept { return env_; }
 
   // --- checkpoint / resume ----------------------------------------------
 
@@ -268,8 +260,7 @@ class TransferSession : private FaultHost {
     // --- failure state (inert without a fault plan) ---------------------
     bool down = false;      ///< connection lost; waiting out backoff
     bool stranded = false;  ///< down because a side has no live server
-    std::size_t src_server = 0;
-    std::size_t dst_server = 0;
+    std::size_t server[2] = {0, 0};  ///< indexed like sides_
     QueueEntry work{};
     Seconds overhead_left = 0.0;
     BitsPerSecond rate = 0.0;
@@ -333,17 +324,21 @@ class TransferSession : private FaultHost {
   bool tick();                               // one dt step; false when done
 
   // --- failure-recovery machinery ---------------------------------------
-  void fault_drop_channel(int index) override;
-  void fault_server_state(bool source_side, std::size_t server, bool up) override;
-  void fault_path_factor(double factor) override;
+  /// Schedule the plan's events, shifted from attempt-local time by the epoch.
+  void arm_faults();
+  /// Poisson arrivals: each kills a random live channel and draws the next gap.
+  void schedule_next_stochastic_drop();
+  void fault_drop_channel(int index);  ///< `index` as in ChannelDropEvent
+  void fault_server_state(std::size_t side, std::size_t server, bool up);
+  void fault_path_factor(double factor);  ///< 1.0 = nominal capacity
   /// Quarantine shrinks the channel pool; never below one.
   [[nodiscard]] int effective_concurrency() const {
     return std::max(1, target_concurrency_ - quarantined_);
   }
-  [[nodiscard]] bool server_up(bool source_side, std::size_t server) const;
+  [[nodiscard]] bool server_up(std::size_t side, std::size_t server) const;
   /// First live server (packed) / next live server round-robin (spread);
   /// nullopt when the whole side is down.
-  [[nodiscard]] std::optional<std::size_t> pick_server(bool source_side);
+  [[nodiscard]] std::optional<std::size_t> pick_server(std::size_t side);
   /// Return a fault-interrupted in-flight file to its queue (resume offset
   /// with restart markers, full retransmission otherwise).
   void requeue_inflight(Channel& ch);
@@ -377,7 +372,18 @@ class TransferSession : private FaultHost {
   std::vector<Channel> channels_;
   int target_concurrency_ = 0;
   std::optional<int> large_cap_;
-  std::size_t rr_src_ = 0, rr_dst_ = 0;  // round-robin placement cursors
+
+  /// One end of the transfer, per server: sides_[0] is the source, [1] the
+  /// destination, as in Channel::server. Every loop over both runs source first.
+  struct Side {
+    const Endpoint* endpoint = nullptr;
+    std::vector<ServerEnergy> energy;
+    std::vector<char> up;             ///< 0 while an outage holds the server
+    std::vector<Seconds> down_since;  ///< raw clock the outage began
+    std::vector<int> procs, threads;  ///< the layout's live processes / threads
+    std::size_t rr = 0;               ///< round-robin placement cursor
+  };
+  std::array<Side, 2> sides_;
 
   /// Owned unless the external-simulation constructor was used; declared
   /// before the reference so initialization order is safe.
@@ -391,10 +397,9 @@ class TransferSession : private FaultHost {
   // which channels exist, which are up, where they run and with how many
   // streams. Every write to one of those sets layout_dirty_ (assign_channel,
   // close_channel, fault_drop_channel, a server outage, a revival), and the
-  // next collect_link_demands() rebuilds it (MODEL.md §3). Faults fire
+  // next collect_link_demands() rebuilds it into Side::procs and
+  // Side::threads and each channel's base_cap (MODEL.md §3). Faults fire
   // between ticks, so one tick's collect, apply and energy see one layout.
-  /// Live processes / threads per server, indexed like the side's servers.
-  std::vector<int> src_procs_, src_threads_, dst_procs_, dst_threads_;
   bool layout_dirty_ = true;
   // Per-session constants of the rate and energy pipeline: the environment
   // is fixed for the session's life, so these are computed once at
@@ -427,7 +432,6 @@ class TransferSession : private FaultHost {
   Bytes bytes_moved_ = 0;  ///< wire bytes (retransmissions included)
   Joules network_energy_ = 0.0;
   Joules end_system_total_ = 0.0;  ///< running total, for waste attribution
-  std::vector<ServerEnergy> src_energy_, dst_energy_;
   // sampling window accumulators
   Seconds window_start_ = 0.0;
   Bytes window_bytes_ = 0;
@@ -436,11 +440,11 @@ class TransferSession : private FaultHost {
   std::vector<SampleStats> samples_;
   // fault state
   FaultPlan faults_;
-  std::unique_ptr<FaultInjector> injector_;
   FaultStats fault_stats_;
-  Rng victim_rng_{1}, backoff_rng_{1}, checksum_rng_{1};  // reseeded by set_fault_plan
-  std::vector<char> src_srv_up_, dst_srv_up_;
-  std::vector<Seconds> src_srv_down_since_, dst_srv_down_since_;
+  // Reseeded by set_fault_plan; resume_from restores all but the arrivals.
+  Rng victim_rng_{1}, backoff_rng_{1}, checksum_rng_{1}, arrival_rng_{1};
+  std::vector<sim::EventId> fault_events_;  ///< arm_faults()'s one-shot events
+  sim::EventId next_drop_;                  ///< the stochastic chain's next arrival
   double path_factor_ = 1.0;
   int quarantined_ = 0;
 };
