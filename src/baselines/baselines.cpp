@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/algorithms.hpp"
-#include "core/tuner.hpp"
 
 namespace eadt::baselines {
 
@@ -74,23 +73,7 @@ proto::TransferPlan plan_single_chunk(const proto::Environment& env,
 
 proto::TransferPlan plan_promc(const proto::Environment& env,
                                const proto::Dataset& dataset, int concurrency) {
-  proto::TransferPlan plan = core::tuned_chunk_plan(env, dataset);
-  const auto alloc = core::allocate_channels_by_weight(
-      plan.chunks, std::max(1, concurrency), /*ensure_total=*/true);
-  for (std::size_t i = 0; i < plan.chunks.size(); ++i) {
-    plan.params[i].channels = alloc[i];
-  }
-  plan.placement = proto::Placement::kPacked;
-  plan.steal = proto::StealPolicy::kAll;
-  plan.sequential_chunks = false;
-  return plan;
-}
-
-proto::TransferPlan plan_brute_force(const proto::Environment& env,
-                                     const proto::Dataset& dataset, int concurrency) {
-  // "a revised version of HTEE that skips the search phase and runs the
-  // transfer with pre-defined concurrency levels".
-  return plan_promc(env, dataset, concurrency);
+  return core::weighted_plan(env, dataset, concurrency, /*ensure_total=*/true, "ProMC");
 }
 
 }  // namespace eadt::baselines

@@ -12,9 +12,10 @@
 //   ProMC — Pro-active Multi-Chunk: BDP partitioning + tuned parameters,
 //           all chunks in flight at once, channels weighted by chunk
 //           size/count, full user concurrency (throughput-greedy).
-//   BF    — brute force: a ProMC/HTEE-style plan run at one fixed concurrency
-//           level; sweeping it 1..20 gives the paper's ideal reference for
-//           the throughput/energy ratio.
+//   BF    — brute force: "a revised version of HTEE that skips the search
+//           phase": ProMC's plan run at one fixed concurrency level; sweeping
+//           it 1..20 gives the paper's ideal reference for the
+//           throughput/energy ratio (exp::run_algorithm's kBf).
 #pragma once
 
 #include "proto/environment.hpp"
@@ -40,9 +41,5 @@ namespace eadt::baselines {
 [[nodiscard]] proto::TransferPlan plan_promc(const proto::Environment& env,
                                              const proto::Dataset& dataset,
                                              int concurrency);
-
-[[nodiscard]] proto::TransferPlan plan_brute_force(const proto::Environment& env,
-                                                   const proto::Dataset& dataset,
-                                                   int concurrency);
 
 }  // namespace eadt::baselines

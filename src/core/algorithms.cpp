@@ -102,14 +102,14 @@ proto::TransferPlan plan_min_energy(const proto::Environment& env,
   return plan;
 }
 
-proto::TransferPlan plan_htee(const proto::Environment& env,
-                              const proto::Dataset& dataset, int max_channels,
-                              obs::DecisionLog* log) {
+proto::TransferPlan weighted_plan(const proto::Environment& env,
+                                  const proto::Dataset& dataset, int channels,
+                                  bool ensure_total, const char* actor,
+                                  obs::DecisionLog* log) {
   proto::TransferPlan plan = tuned_chunk_plan(env, dataset, log);
-  log_partition(log, "HTEE", plan);
+  log_partition(log, actor, plan);
   const auto alloc =
-      allocate_channels_by_weight(plan.chunks, std::max(1, max_channels),
-                                  /*ensure_total=*/false);
+      allocate_channels_by_weight(plan.chunks, std::max(1, channels), ensure_total);
   for (std::size_t i = 0; i < plan.chunks.size(); ++i) {
     plan.params[i].channels = alloc[i];
   }
@@ -117,6 +117,12 @@ proto::TransferPlan plan_htee(const proto::Environment& env,
   plan.steal = proto::StealPolicy::kAll;
   plan.sequential_chunks = false;
   return plan;
+}
+
+proto::TransferPlan plan_htee(const proto::Environment& env,
+                              const proto::Dataset& dataset, int max_channels,
+                              obs::DecisionLog* log) {
+  return weighted_plan(env, dataset, max_channels, /*ensure_total=*/false, "HTEE", log);
 }
 
 void HteeController::on_sample(proto::TransferSession& session,
@@ -195,20 +201,10 @@ void HteeController::on_sample(proto::TransferSession& session,
 proto::TransferPlan plan_slaee(const proto::Environment& env,
                                const proto::Dataset& dataset, int max_channels,
                                obs::DecisionLog* log) {
-  proto::TransferPlan plan = tuned_chunk_plan(env, dataset, log);
-  log_partition(log, "SLAEE", plan);
   // Small chunks get channel priority (HTEE weights); the Large chunk's
   // one-channel restriction is enforced at runtime via the large-chunk cap so
   // reArrangeChannels can lift it.
-  const auto alloc = allocate_channels_by_weight(plan.chunks, std::max(1, max_channels),
-                                                 /*ensure_total=*/true);
-  for (std::size_t i = 0; i < plan.chunks.size(); ++i) {
-    plan.params[i].channels = alloc[i];
-  }
-  plan.placement = proto::Placement::kPacked;
-  plan.steal = proto::StealPolicy::kAll;
-  plan.sequential_chunks = false;
-  return plan;
+  return weighted_plan(env, dataset, max_channels, /*ensure_total=*/true, "SLAEE", log);
 }
 
 void SlaeeController::on_start(proto::TransferSession& session) {

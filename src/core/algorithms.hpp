@@ -45,6 +45,16 @@ namespace eadt::core {
                                                   int max_channels,
                                                   obs::DecisionLog* log = nullptr);
 
+/// The plan HTEE, SLAEE and ProMC share: tuned chunks, `channels` allocated by
+/// chunk weight (`ensure_total` spends the whole budget), packed placement,
+/// steal-all, chunks concurrent. A non-null `log` records the tuning and the
+/// partition, the latter under `actor`.
+[[nodiscard]] proto::TransferPlan weighted_plan(const proto::Environment& env,
+                                                const proto::Dataset& dataset,
+                                                int channels, bool ensure_total,
+                                                const char* actor,
+                                                obs::DecisionLog* log = nullptr);
+
 /// Algorithm 2 static part: weighted channel allocation at `max_channels`.
 [[nodiscard]] proto::TransferPlan plan_htee(const proto::Environment& env,
                                             const proto::Dataset& dataset,

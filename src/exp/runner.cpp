@@ -65,6 +65,7 @@ RunOutcome run_algorithm(Algorithm algorithm, const testbeds::Testbed& testbed,
           execute(core::plan_min_energy(env, dataset, max_channels, decision_log(config)));
       break;
     case Algorithm::kProMc:
+    case Algorithm::kBf:  // BF is ProMC's plan at a fixed concurrency level
       out.result = execute(baselines::plan_promc(env, dataset, max_channels));
       break;
     case Algorithm::kHtee: {
@@ -74,9 +75,6 @@ RunOutcome run_algorithm(Algorithm algorithm, const testbeds::Testbed& testbed,
       out.chosen_concurrency = controller.chosen_level();
       break;
     }
-    case Algorithm::kBf:
-      out.result = execute(baselines::plan_brute_force(env, dataset, max_channels));
-      break;
   }
   return out;
 }

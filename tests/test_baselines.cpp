@@ -85,14 +85,5 @@ TEST(ProMc, SimultaneousWeightedChunks) {
   EXPECT_EQ(plan.steal, proto::StealPolicy::kAll);
 }
 
-TEST(BruteForce, MatchesProMcShape) {
-  const auto env = small_env();
-  const auto ds = mixed_dataset();
-  const auto bf = plan_brute_force(env, ds, 5);
-  const auto pm = plan_promc(env, ds, 5);
-  ASSERT_EQ(bf.chunks.size(), pm.chunks.size());
-  EXPECT_EQ(bf.total_channels(), pm.total_channels());
-}
-
 }  // namespace
 }  // namespace eadt::baselines
