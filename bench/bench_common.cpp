@@ -252,7 +252,9 @@ void print_histogram_percentiles(const Options& opt, const obs::ObsCollector& co
 
 namespace {
 
-testbeds::Testbed scaled(testbeds::Testbed t, unsigned divisor) {
+/// The figure grids shrink the byte total only: their band edges, and so
+/// their largest files, stay at paper size (unlike testbeds::scaled).
+testbeds::Testbed total_divided(testbeds::Testbed t, unsigned divisor) {
   t.recipe.total_bytes /= std::max(1u, divisor);
   return t;
 }
@@ -260,7 +262,7 @@ testbeds::Testbed scaled(testbeds::Testbed t, unsigned divisor) {
 }  // namespace
 
 void run_concurrency_figure(const testbeds::Testbed& base, const Options& opt) {
-  const auto t = scaled(base, opt.scale);
+  const auto t = total_divided(base, opt.scale);
   print_header(base, opt);
   const auto dataset = t.make_dataset();
 
@@ -413,7 +415,7 @@ void run_concurrency_figure(const testbeds::Testbed& base, const Options& opt) {
 }
 
 void run_sla_figure(const testbeds::Testbed& base, int promc_level, const Options& opt) {
-  const auto t = scaled(base, opt.scale);
+  const auto t = total_divided(base, opt.scale);
   print_header(base, opt);
   const auto dataset = t.make_dataset();
 

@@ -17,11 +17,8 @@ int main(int argc, char** argv) {
 
   Table table({"testbed", "method", "probe windows", "chosen cc",
                "chosen-level ratio vs BF best", "whole-run Mbps", "whole-run J"});
-  for (auto t : testbeds::all_testbeds()) {
-    t.recipe.total_bytes /= std::max(1u, opt.scale) * 4;
-    for (auto& band : t.recipe.bands) {
-      band.max_size = std::max(band.max_size / (opt.scale * 4), band.min_size * 2);
-    }
+  for (const auto& bed : testbeds::all_testbeds()) {
+    const auto t = testbeds::scaled(bed, opt.scale * 4);
     const auto ds = t.make_dataset();
     const int max_cc = t.default_max_channels;
 

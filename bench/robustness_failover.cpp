@@ -117,11 +117,7 @@ bool bytes_conserved(const Outcomes& outcomes, const std::vector<Bytes>& sizes) 
 int main(int argc, char** argv) {
   const auto opt = bench::parse_options(argc, argv);
 
-  auto base = testbeds::xsede();
-  base.recipe.total_bytes /= std::max(1u, opt.scale) * 4;
-  for (auto& band : base.recipe.bands) {
-    band.max_size = std::max(band.max_size / (opt.scale * 4), band.min_size * 2);
-  }
+  const auto base = testbeds::scaled(testbeds::xsede(), opt.scale * 4);
   bench::print_header(base, opt);
 
   // Distinct per-job datasets from the scaled recipe.

@@ -17,11 +17,7 @@ int main(int argc, char** argv) {
   using namespace eadt;
   const auto opt = bench::parse_options(argc, argv);
 
-  auto base = testbeds::xsede();
-  base.recipe.total_bytes /= std::max(1u, opt.scale) * 4;  // keep runs brisk
-  for (auto& band : base.recipe.bands) {
-    band.max_size = std::max(band.max_size / (opt.scale * 4), band.min_size * 2);
-  }
+  const auto base = testbeds::scaled(testbeds::xsede(), opt.scale * 4);  // keep runs brisk
   const auto ds = base.make_dataset();
 
   struct Severity {

@@ -1,5 +1,6 @@
 #include "testbeds/testbeds.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 
@@ -79,6 +80,15 @@ proto::Dataset Testbed::make_dataset() const {
     return *ds;
   }
   return proto::generate_dataset(recipe, Rng(dataset_seed));
+}
+
+Testbed scaled(Testbed t, unsigned divisor) {
+  const Bytes d = std::max(1u, divisor);
+  t.recipe.total_bytes /= d;
+  for (auto& band : t.recipe.bands) {
+    band.max_size = std::max(band.max_size / d, band.min_size * 2);
+  }
+  return t;
 }
 
 Testbed xsede() {

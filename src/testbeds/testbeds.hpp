@@ -35,6 +35,13 @@ struct Testbed {
   [[nodiscard]] proto::Dataset make_dataset() const;
 };
 
+/// `t` with its recipe shrunk for a quick run: total bytes and every band's
+/// largest file divided by `divisor` (0 counts as 1), a band's largest file
+/// never below twice its smallest. Shrinking the band maxima along with the
+/// total keeps the size mix: otherwise one near-maximum file would floor
+/// every algorithm's duration.
+[[nodiscard]] Testbed scaled(Testbed t, unsigned divisor);
+
 [[nodiscard]] Testbed xsede();
 [[nodiscard]] Testbed futuregrid();
 [[nodiscard]] Testbed didclab();

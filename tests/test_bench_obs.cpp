@@ -63,11 +63,7 @@ TEST(BenchObs, ObservedRunProducesNonEmptyExports) {
 
   // Drive one tiny observed session through the collector, exactly as a
   // bench attaches it (config.obs = one slot).
-  auto tb = testbeds::xsede();
-  tb.recipe.total_bytes /= 256;
-  for (auto& band : tb.recipe.bands) {
-    band.max_size = std::max(band.max_size / 256, band.min_size * 2);
-  }
+  const auto tb = testbeds::scaled(testbeds::xsede(), 256);
   const auto ds = tb.make_dataset();
   proto::SessionConfig config;
   config.sample_interval = 1.0;

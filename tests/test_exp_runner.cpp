@@ -5,14 +5,7 @@
 namespace eadt::exp {
 namespace {
 
-testbeds::Testbed tiny_didclab() {
-  auto t = testbeds::didclab();
-  t.recipe.total_bytes /= 64;
-  for (auto& band : t.recipe.bands) {
-    band.max_size = std::max(band.max_size / 64, band.min_size * 2);
-  }
-  return t;
-}
+testbeds::Testbed tiny_didclab() { return testbeds::scaled(testbeds::didclab(), 64); }
 
 TEST(Runner, AlgorithmNames) {
   EXPECT_STREQ(to_string(Algorithm::kGuc), "GUC");

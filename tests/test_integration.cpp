@@ -12,17 +12,6 @@
 namespace eadt::exp {
 namespace {
 
-testbeds::Testbed scaled(testbeds::Testbed t, unsigned divisor) {
-  // Shrink total bytes AND the band maxima so the size *mix* is preserved —
-  // otherwise a lone near-20 GB file floors every algorithm's duration and
-  // masks the differences the paper measures.
-  t.recipe.total_bytes /= divisor;
-  for (auto& band : t.recipe.bands) {
-    band.max_size = std::max(band.max_size / divisor, band.min_size * 2);
-  }
-  return t;
-}
-
 // Datasets are byte-scaled, so the adaptive algorithms' probe windows are
 // scaled to match (5 s at paper scale ~ 1 s here); otherwise HTEE's search
 // phase would dominate the shortened transfers.
@@ -48,7 +37,7 @@ class XsedeFigure2 : public ::testing::Test {
   static void SetUpTestSuite() {
     // 40 GB: large enough that HTEE's probe phase has the same relative cost
     // as in the paper's 160 GB runs.
-    testbed_ = new testbeds::Testbed(scaled(testbeds::xsede(), 4));
+    testbed_ = new testbeds::Testbed(testbeds::scaled(testbeds::xsede(), 4));
     dataset_ = new proto::Dataset(testbed_->make_dataset());
   }
   static void TearDownTestSuite() {
@@ -152,7 +141,7 @@ TEST_F(XsedeFigure2, HteeTracksTheBruteForceOptimum) {
 class DidclabFigure4 : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    testbed_ = new testbeds::Testbed(scaled(testbeds::didclab(), 4));  // 10 GB
+    testbed_ = new testbeds::Testbed(testbeds::scaled(testbeds::didclab(), 4));  // 10 GB
     dataset_ = new proto::Dataset(testbed_->make_dataset());
   }
   static void TearDownTestSuite() {
@@ -196,7 +185,8 @@ TEST_F(DidclabFigure4, HteePaysASearchPenaltyOnLan) {
 class FuturegridFigure3 : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    testbed_ = new testbeds::Testbed(scaled(testbeds::futuregrid(), 4));  // 10 GB
+    // 10 GB
+    testbed_ = new testbeds::Testbed(testbeds::scaled(testbeds::futuregrid(), 4));
     dataset_ = new proto::Dataset(testbed_->make_dataset());
   }
   static void TearDownTestSuite() {

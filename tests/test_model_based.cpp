@@ -79,12 +79,7 @@ TEST(BestRatioLevel, FindsTheAnalyticOptimum) {
 class ModelBasedEndToEnd : public ::testing::Test {
  protected:
   static testbeds::Testbed scaled_xsede() {
-    auto t = testbeds::xsede();
-    t.recipe.total_bytes /= 4;
-    for (auto& band : t.recipe.bands) {
-      band.max_size = std::max(band.max_size / 4, band.min_size * 2);
-    }
-    return t;
+    return testbeds::scaled(testbeds::xsede(), 4);
   }
 };
 
@@ -114,11 +109,7 @@ TEST_F(ModelBasedEndToEnd, ThreeProbesLandNearTheBruteForceOptimum) {
 }
 
 TEST_F(ModelBasedEndToEnd, HandlesTheLanWhereCurvesInvert) {
-  auto t = testbeds::didclab();
-  t.recipe.total_bytes /= 8;
-  for (auto& band : t.recipe.bands) {
-    band.max_size = std::max(band.max_size / 8, band.min_size * 2);
-  }
+  const auto t = testbeds::scaled(testbeds::didclab(), 8);
   const auto ds = t.make_dataset();
   proto::SessionConfig cfg;
   cfg.sample_interval = 1.0;

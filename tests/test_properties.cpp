@@ -18,14 +18,9 @@
 namespace eadt::exp {
 namespace {
 
+// Small datasets keep the sweep fast.
 testbeds::Testbed tiny(testbeds::Testbed t) {
-  // Small datasets keep the sweep fast; band maxima scale along.
-  const unsigned div = 64;
-  t.recipe.total_bytes /= div;
-  for (auto& band : t.recipe.bands) {
-    band.max_size = std::max(band.max_size / div, band.min_size * 2);
-  }
-  return t;
+  return testbeds::scaled(std::move(t), 64);
 }
 
 testbeds::Testbed testbed_by_index(int i) {

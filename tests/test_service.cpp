@@ -10,14 +10,7 @@
 namespace eadt::exp {
 namespace {
 
-testbeds::Testbed tiny_xsede() {
-  auto t = testbeds::xsede();
-  t.recipe.total_bytes /= 64;
-  for (auto& band : t.recipe.bands) {
-    band.max_size = std::max(band.max_size / 64, band.min_size * 2);
-  }
-  return t;
-}
+testbeds::Testbed tiny_xsede() { return testbeds::scaled(testbeds::xsede(), 64); }
 
 proto::Dataset job_dataset(Bytes file, int count) {
   proto::Dataset ds;
@@ -196,10 +189,7 @@ TEST(Service, UnsupervisedJobIsTheBareEngineRunByteForByte) {
                                 JobPolicy::kBalanced, JobPolicy::kSla,
                                 JobPolicy::kEnergyBudget};
   for (auto tb : {testbeds::xsede(), testbeds::futuregrid(), testbeds::didclab()}) {
-    tb.recipe.total_bytes /= 4;
-    for (auto& band : tb.recipe.bands) {
-      band.max_size = std::max(band.max_size / 4, band.min_size * 2);
-    }
+    tb = testbeds::scaled(tb, 4);
     TransferService service(tb, 0.0, fast_cfg());
     for (const JobPolicy policy : policies) {
       SCOPED_TRACE(tb.env.name + " " + to_string(policy));
@@ -230,10 +220,7 @@ TEST(Service, ResumedLegIsTheBareEngineResumeUpToClockRounding) {
                                 JobPolicy::kBalanced, JobPolicy::kSla,
                                 JobPolicy::kEnergyBudget};
   for (auto tb : {testbeds::xsede(), testbeds::futuregrid(), testbeds::didclab()}) {
-    tb.recipe.total_bytes /= 4;
-    for (auto& band : tb.recipe.bands) {
-      band.max_size = std::max(band.max_size / 4, band.min_size * 2);
-    }
+    tb = testbeds::scaled(tb, 4);
     TransferService plain(tb, 0.0, fast_cfg());
     for (const JobPolicy policy : policies) {
       SCOPED_TRACE(tb.env.name + " " + to_string(policy));

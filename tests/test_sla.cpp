@@ -8,17 +8,6 @@
 namespace eadt::exp {
 namespace {
 
-testbeds::Testbed scaled(testbeds::Testbed t, unsigned divisor) {
-  // Shrink total bytes AND the band maxima so the size *mix* is preserved —
-  // otherwise a lone near-20 GB file floors every algorithm's duration and
-  // masks the differences the paper measures.
-  t.recipe.total_bytes /= divisor;
-  for (auto& band : t.recipe.bands) {
-    band.max_size = std::max(band.max_size / divisor, band.min_size * 2);
-  }
-  return t;
-}
-
 // Datasets are byte-scaled, so the adaptive algorithms' probe windows are
 // scaled to match (5 s at paper scale ~ 1 s here); otherwise HTEE's search
 // phase would dominate the shortened transfers.
@@ -37,7 +26,7 @@ proto::SessionConfig paper_cfg() { return proto::SessionConfig{}; }
 class SlaXsede : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    testbed_ = new testbeds::Testbed(scaled(testbeds::xsede(), 8));
+    testbed_ = new testbeds::Testbed(testbeds::scaled(testbeds::xsede(), 8));
     dataset_ = new proto::Dataset(testbed_->make_dataset());
     const auto promc = run_algorithm(Algorithm::kProMc, *testbed_, *dataset_, 12, fast_cfg());
     max_throughput_ = promc.result.avg_throughput();
@@ -94,7 +83,7 @@ TEST_F(SlaXsede, NinetyFivePercentIsTheHardCorner) {
 TEST(SlaFuturegrid, OvershootAtFiftyPercentTarget) {
   // Figure 6c: concurrency 1 already beats 50 % of max, so SLAEE overshoots
   // (deviation ~25 %) — it cannot go below one channel.
-  auto t = scaled(testbeds::futuregrid(), 4);
+  auto t = testbeds::scaled(testbeds::futuregrid(), 4);
   const auto ds = t.make_dataset();
   const auto promc = run_algorithm(Algorithm::kProMc, t, ds, 12, paper_cfg());
   const auto out = run_slaee(t, ds, 50.0, promc.result.avg_throughput(), 12, paper_cfg());
@@ -106,7 +95,7 @@ TEST(SlaFuturegrid, OvershootAtFiftyPercentTarget) {
 }
 
 TEST(SlaFuturegrid, EnergySavingsVersusProMc) {
-  auto t = scaled(testbeds::futuregrid(), 4);
+  auto t = testbeds::scaled(testbeds::futuregrid(), 4);
   const auto ds = t.make_dataset();
   const auto promc = run_algorithm(Algorithm::kProMc, t, ds, 12, paper_cfg());
   const auto out = run_slaee(t, ds, 70.0, promc.result.avg_throughput(), 12, paper_cfg());
@@ -116,7 +105,7 @@ TEST(SlaFuturegrid, EnergySavingsVersusProMc) {
 TEST(SlaDidclab, LanTargetsOvershootMassively) {
   // Figure 7c: on the LAN concurrency 1 is optimal for everything, so low
   // targets are overshot by up to ~100 %.
-  auto t = scaled(testbeds::didclab(), 4);
+  auto t = testbeds::scaled(testbeds::didclab(), 4);
   const auto ds = t.make_dataset();
   const auto promc = run_algorithm(Algorithm::kProMc, t, ds, 1, paper_cfg());
   const auto out = run_slaee(t, ds, 50.0, promc.result.avg_throughput(), 12, paper_cfg());

@@ -11,14 +11,7 @@
 namespace eadt::exp {
 namespace {
 
-testbeds::Testbed tiny_xsede() {
-  auto t = testbeds::xsede();
-  t.recipe.total_bytes /= 64;
-  for (auto& band : t.recipe.bands) {
-    band.max_size = std::max(band.max_size / 64, band.min_size * 2);
-  }
-  return t;
-}
+testbeds::Testbed tiny_xsede() { return testbeds::scaled(testbeds::xsede(), 64); }
 
 proto::Dataset job_dataset(Bytes file, int count) {
   proto::Dataset ds;

@@ -15,17 +15,10 @@
 namespace eadt::exp {
 namespace {
 
-testbeds::Testbed tiny(testbeds::Testbed t, unsigned div = 64) {
-  t.recipe.total_bytes /= div;
-  for (auto& band : t.recipe.bands) {
-    band.max_size = std::max(band.max_size / div, band.min_size * 2);
-  }
-  return t;
-}
-
 std::vector<testbeds::Testbed> tiny_testbeds(unsigned div = 64) {
-  return {tiny(testbeds::xsede(), div), tiny(testbeds::futuregrid(), div),
-          tiny(testbeds::didclab(), div)};
+  return {testbeds::scaled(testbeds::xsede(), div),
+          testbeds::scaled(testbeds::futuregrid(), div),
+          testbeds::scaled(testbeds::didclab(), div)};
 }
 
 /// The golden grid of the issue: 3 testbeds x 6 algorithms x 5 concurrency
@@ -76,7 +69,7 @@ TEST(SweepRunner, RepeatedSweepInOneProcessIsByteIdentical) {
   // No hidden static state: the same runner, run twice back to back in this
   // process, must reproduce the payload byte-for-byte.
   std::vector<SweepTask> tasks;
-  const auto t = tiny(testbeds::xsede());
+  const auto t = testbeds::scaled(testbeds::xsede(), 64);
   const auto dataset = t.make_dataset();
   for (const auto a : figure_algorithms()) {
     for (const int cc : {1, 4, 12}) {
@@ -96,7 +89,7 @@ TEST(SweepRunner, RepeatedSweepInOneProcessIsByteIdentical) {
 }
 
 TEST(SweepRunner, SlaTasksAreDeterministicToo) {
-  const auto t = tiny(testbeds::xsede());
+  const auto t = testbeds::scaled(testbeds::xsede(), 64);
   const auto dataset = t.make_dataset();
 
   // Calibrate the target off one ProMC run, as the SLA figures do.
@@ -134,7 +127,7 @@ TEST(SweepRunner, StressFaultedSweepIsRaceFree) {
   // result slot, so TSan passing over this test certifies the executor adds
   // no races.
   constexpr std::size_t kTasks = 200;
-  const auto t = tiny(testbeds::xsede(), 256);
+  const auto t = testbeds::scaled(testbeds::xsede(), 256);
   const auto dataset = t.make_dataset();
 
   proto::FaultPlan faults;
@@ -209,7 +202,7 @@ TEST(SweepRunner, DerivedSeedReKeysStochasticStreams) {
   // With a non-zero base seed, two grid points that differ only in
   // concurrency get different jitter streams — their derived seeds differ —
   // while the same point replays identically.
-  auto t = tiny(testbeds::xsede());
+  auto t = testbeds::scaled(testbeds::xsede(), 64);
   t.env.rate_jitter_sd = 0.10;
   const auto dataset = t.make_dataset();
   auto make = [&](int cc, std::uint64_t seed) {

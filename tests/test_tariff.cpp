@@ -65,11 +65,7 @@ TEST(Tariff, DegenerateInputs) {
 }
 
 TEST(TariffService, QueueCostsDependOnStartTime) {
-  auto testbed = testbeds::xsede();
-  testbed.recipe.total_bytes /= 64;
-  for (auto& band : testbed.recipe.bands) {
-    band.max_size = std::max(band.max_size / 64, band.min_size * 2);
-  }
+  const auto testbed = testbeds::scaled(testbeds::xsede(), 64);
   proto::SessionConfig cfg;
   cfg.sample_interval = 1.0;
   exp::TransferService service(testbed, gbps(7.0), cfg);
