@@ -1,6 +1,7 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -38,8 +39,10 @@ void print_usage(std::ostream& os) {
         "  --scale N   divide the dataset size by N (default 1: paper scale)\n"
         "  --csv       emit CSV instead of aligned tables\n"
         "  --plot STEM write STEM.csv and a gnuplot script STEM.gp\n"
-        "  --jobs N    sweep worker threads (default: EADT_JOBS, then all cores);\n"
-        "              results are bit-identical for every N\n"
+        "  --jobs N    sweep worker threads (default: EADT_JOBS, then all cores),\n"
+        "              at most "
+     << exp::kMaxJobs
+     << "; results are bit-identical for every N\n"
         "  --quick     smoke preset: raises --scale to at least 32\n"
         "  --json PATH write the perf record there instead of BENCH_<name>.json\n"
         "  --no-json   skip the BENCH_<name>.json perf record\n"
@@ -61,80 +64,62 @@ std::optional<Options> try_parse_options(int argc, char** argv, std::string* err
     if (error != nullptr) *error = std::move(msg);
     return std::nullopt;
   };
+  const std::pair<std::string_view, std::string Options::*> text_flags[] = {
+      {"--plot", &Options::plot_stem},         {"--json", &Options::json_path},
+      {"--trace-out", &Options::trace_out},    {"--metrics-out", &Options::metrics_out},
+      {"--decisions", &Options::decisions_out}};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const auto value_of = [&]() -> std::optional<std::string> {
-      if (i + 1 >= argc) return std::nullopt;
-      return std::string(argv[++i]);
-    };
-    if (arg == "--csv") {
-      opt.csv = true;
-    } else if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--no-json") {
-      opt.json = false;
-    } else if (arg == "--scale") {
-      const auto v = value_of();
-      if (!v) return fail("--scale requires a value");
-      opt.scale = static_cast<unsigned>(std::max(1, std::atoi(v->c_str())));
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = static_cast<unsigned>(std::max(1, std::atoi(arg.data() + 8)));
-    } else if (arg == "--jobs") {
-      const auto v = value_of();
-      if (!v) return fail("--jobs requires a value");
-      opt.jobs = std::max(0, std::atoi(v->c_str()));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opt.jobs = std::max(0, std::atoi(arg.data() + 7));
-    } else if (arg == "--plot") {
-      const auto v = value_of();
-      if (!v) return fail("--plot requires a value");
-      opt.plot_stem = *v;
-    } else if (arg.rfind("--plot=", 0) == 0) {
-      opt.plot_stem = std::string(arg.substr(7));
-    } else if (arg == "--json") {
-      const auto v = value_of();
-      if (!v) return fail("--json requires a value");
-      opt.json_path = *v;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opt.json_path = std::string(arg.substr(7));
-    } else if (arg == "--trace-out") {
-      const auto v = value_of();
-      if (!v) return fail("--trace-out requires a value");
-      opt.trace_out = *v;
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      opt.trace_out = std::string(arg.substr(12));
-    } else if (arg == "--metrics-out") {
-      const auto v = value_of();
-      if (!v) return fail("--metrics-out requires a value");
-      opt.metrics_out = *v;
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      opt.metrics_out = std::string(arg.substr(14));
-    } else if (arg == "--decisions") {
-      const auto v = value_of();
-      if (!v) return fail("--decisions requires a value");
-      opt.decisions_out = *v;
-    } else if (arg.rfind("--decisions=", 0) == 0) {
-      opt.decisions_out = std::string(arg.substr(12));
-    } else if (arg == "--metrics-listen") {
-      const auto v = value_of();
-      if (!v) return fail("--metrics-listen requires a port");
-      opt.metrics_listen = std::atoi(v->c_str());
-      if (opt.metrics_listen < 0 || opt.metrics_listen > 65535) {
-        return fail("--metrics-listen port must be in [0, 65535]");
-      }
-    } else if (arg.rfind("--metrics-listen=", 0) == 0) {
-      opt.metrics_listen = std::atoi(arg.data() + 17);
-      if (opt.metrics_listen < 0 || opt.metrics_listen > 65535) {
-        return fail("--metrics-listen port must be in [0, 65535]");
-      }
-    } else if (arg == "--force") {
-      opt.force = true;
-    } else if (arg == "--help" || arg == "-h") {
-      opt.help = true;
-    } else if (arg.rfind("--", 0) == 0) {
+    // `--flag=value` is `--flag value`: split it once, so each flag has one branch.
+    const auto eq = arg.rfind("--", 0) == 0 ? arg.find('=') : std::string_view::npos;
+    const std::string flag(arg.substr(0, eq));
+    std::optional<std::string> value;
+    if (eq != std::string_view::npos) value = std::string(arg.substr(eq + 1));
+    const auto text = std::find_if(std::begin(text_flags), std::end(text_flags),
+                                   [&](const auto& f) { return f.first == flag; });
+    const bool number = flag == "--scale" || flag == "--jobs" || flag == "--metrics-listen";
+    if (number || text != std::end(text_flags)) {
+      if (!value && i + 1 < argc) value = argv[++i];
+      if (!value) return fail(flag + " requires a value");
+    } else if (value) {
       return fail("unknown option '" + std::string(arg) + "'");
+    }
+    // A number parses whole: "4x", "junk" and out-of-range text are refused.
+    int n = 0;
+    if (number) {
+      const char* end = value->data() + value->size();
+      const auto [stop, ec] = std::from_chars(value->data(), end, n);
+      if (ec != std::errc{} || stop != end) {
+        return fail(flag + " requires a whole number, not '" + *value + "'");
+      }
+    }
+    if (flag == "--csv") {
+      opt.csv = true;
+    } else if (flag == "--quick") {
+      opt.quick = true;
+    } else if (flag == "--no-json") {
+      opt.json = false;
+    } else if (flag == "--force") {
+      opt.force = true;
+    } else if (flag == "--help" || flag == "-h") {
+      opt.help = true;
+    } else if (text != std::end(text_flags)) {
+      opt.*(text->second) = *value;
+    } else if (flag == "--scale") {
+      opt.scale = static_cast<unsigned>(std::max(1, n));  // never a zero divisor
+    } else if (flag == "--jobs") {
+      if (n > exp::kMaxJobs) {
+        return fail("--jobs " + *value + " is above the ceiling of " +
+                    std::to_string(exp::kMaxJobs) + " worker threads");
+      }
+      opt.jobs = std::max(0, n);  // 0 and below: auto
+    } else if (flag == "--metrics-listen") {
+      if (n < 0 || n > 65535) return fail("--metrics-listen port must be in [0, 65535]");
+      opt.metrics_listen = n;
+    } else if (flag.rfind("--", 0) == 0) {
+      return fail("unknown option '" + flag + "'");
     } else {
-      return fail("unexpected argument '" + std::string(arg) + "'");
+      return fail("unexpected argument '" + flag + "'");
     }
   }
   if (opt.quick) opt.scale = std::max(opt.scale, 32u);

@@ -33,6 +33,7 @@ struct Options {
   /// ready-to-run gnuplot script <stem>.gp.
   std::string plot_stem;
   /// Sweep worker count; 0 = auto (EADT_JOBS, then hardware_concurrency).
+  /// The parser refuses more than exp::kMaxJobs.
   int jobs = 0;
   /// CI smoke preset: raises --scale to at least 32.
   bool quick = false;

@@ -51,13 +51,13 @@ std::uint64_t derive_task_seed(std::string_view algorithm, std::string_view test
 }
 
 int resolve_jobs(int requested) noexcept {
-  if (requested > 0) return requested;
+  if (requested > 0) return std::min(requested, kMaxJobs);
   if (const char* env = std::getenv("EADT_JOBS"); env != nullptr) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+    const long n = std::strtol(env, nullptr, 10);  // saturates instead of overflowing
+    if (n > 0) return static_cast<int>(std::min<long>(n, kMaxJobs));
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return hw > 0 ? static_cast<int>(std::min<unsigned>(hw, kMaxJobs)) : 1;
 }
 
 void SweepRunner::parallel_indexed(int jobs, std::size_t count,

@@ -44,8 +44,13 @@ namespace eadt::exp {
                                              std::string_view testbed, int concurrency,
                                              std::uint64_t base_seed) noexcept;
 
+/// Ceiling on worker threads: bench parsers refuse a larger --jobs, and
+/// resolve_jobs clamps to it, so no pool asks the OS for more.
+inline constexpr int kMaxJobs = 256;
+
 /// Worker-count policy: `requested` > 0 wins; otherwise the EADT_JOBS
-/// environment variable; otherwise hardware_concurrency. Always >= 1.
+/// environment variable; otherwise hardware_concurrency. Always in
+/// [1, kMaxJobs].
 [[nodiscard]] int resolve_jobs(int requested) noexcept;
 
 /// One grid point. Tasks own their inputs by value so a worker never touches

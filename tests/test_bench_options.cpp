@@ -37,10 +37,15 @@ TEST(BenchOptions, Defaults) {
 TEST(BenchOptions, ScaleForms) {
   EXPECT_EQ(parse({"--scale", "8"}).scale, 8u);
   EXPECT_EQ(parse({"--scale=16"}).scale, 16u);
-  // Nonsense clamps to 1, never 0 (a divisor).
+  // Zero and below clamp to 1, never 0 (a divisor).
   EXPECT_EQ(parse({"--scale", "0"}).scale, 1u);
   EXPECT_EQ(parse({"--scale", "-3"}).scale, 1u);
-  EXPECT_EQ(parse({"--scale=junk"}).scale, 1u);
+  // A value that is not a whole number is refused, naming the flag.
+  for (const char* bad : {"--scale=junk", "--scale=4x", "--scale=", "--scale=99999999999"}) {
+    std::string error;
+    EXPECT_FALSE(try_parse({bad}, &error).has_value()) << bad;
+    EXPECT_NE(error.find("--scale"), std::string::npos) << bad;
+  }
 }
 
 TEST(BenchOptions, CsvAndPlot) {
@@ -55,6 +60,21 @@ TEST(BenchOptions, JobsForms) {
   EXPECT_EQ(parse({"--jobs=2"}).jobs, 2);
   // Negative never reaches the runner; clamps to "auto".
   EXPECT_EQ(parse({"--jobs", "-7"}).jobs, 0);
+  EXPECT_EQ(parse({"--jobs", "256"}).jobs, exp::kMaxJobs);
+  // Text that is not a whole number, and anything above the ceiling, is
+  // refused before any thread starts (no pool is built here).
+  for (const auto& args : {std::vector<const char*>{"--jobs", "4x"}, {"--jobs=junk"},
+                           {"--jobs", "257"}, {"--jobs=100000"}}) {
+    std::string error;
+    EXPECT_FALSE(try_parse(args, &error).has_value()) << args.back();
+    EXPECT_NE(error.find("--jobs"), std::string::npos) << args.back();
+  }
+}
+
+TEST(BenchOptions, SwitchesTakeNoInlineValue) {
+  std::string error;
+  EXPECT_FALSE(try_parse({"--csv=1"}, &error).has_value());
+  EXPECT_NE(error.find("unknown option '--csv=1'"), std::string::npos);
 }
 
 TEST(BenchOptions, QuickRaisesScaleToSmokeSize) {

@@ -187,6 +187,10 @@ TEST(SweepRunner, WorkerExceptionsPropagate) {
 TEST(SweepRunner, ResolveJobsPolicy) {
   EXPECT_EQ(resolve_jobs(3), 3);
   EXPECT_EQ(resolve_jobs(1), 1);
+  // The ceiling holds for every source; nothing here builds a pool.
+  EXPECT_EQ(resolve_jobs(kMaxJobs + 1), kMaxJobs);
+  ::setenv("EADT_JOBS", "100000", 1);
+  EXPECT_EQ(resolve_jobs(0), kMaxJobs);
 
   ::setenv("EADT_JOBS", "5", 1);
   EXPECT_EQ(resolve_jobs(0), 5);
