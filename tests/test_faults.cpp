@@ -237,6 +237,46 @@ TEST(PathBrownout, ReducedCapacitySlowsButFinishes) {
   EXPECT_EQ(r.bytes, c.bytes);  // nothing lost, just slower
 }
 
+TEST(SharedSimulation, DestroyedSessionLeavesNoPlanEventBehind) {
+  // A scheduler leg that is preempted or aborted is destroyed while the
+  // shared simulation runs on: its pending plan events must leave the queue
+  // with it, or they would fire into a dead session.
+  const auto env = small_env(2);
+  const auto ds = dataset_of({80 * kMB, 80 * kMB, 80 * kMB});
+  FaultPlan faults;
+  faults.channel_drops.push_back({0.3, 0});
+  faults.outages.push_back({/*source_side=*/true, /*server=*/1, /*start=*/0.2,
+                            /*duration=*/10.0});
+  faults.brownouts.push_back({0.1, 5.0, 0.5});
+  faults.stochastic.channel_drop_rate = 2.0;
+
+  sim::Simulation sim;
+  sim.schedule_at(7200.0, [] {});  // someone else's event, two hours out
+  const std::size_t before = sim.pending_events();
+  {
+    SessionConfig cfg;
+    TransferSession session(sim, env, ds, one_chunk_plan(ds, 2), cfg);
+    session.set_fault_plan(faults);
+    ASSERT_FALSE(session.begin().has_value());
+    for (int k = 1; k <= 5; ++k) {
+      sim.run_until(k * cfg.tick);
+      session.tick_prepare();
+      session.collect_link_demands();
+      const auto alloc = net::fair_share(env.path.available_bandwidth() *
+                                             session.path_factor(),
+                                         session.link_demands());
+      session.apply_link_allocation(alloc.allocation, 1.0, 1.0);
+      session.advance_compute();
+      ASSERT_TRUE(session.advance_commit());
+    }
+    EXPECT_GT(sim.pending_events(), before);  // outage and brownout ends, next drop
+  }
+  EXPECT_EQ(sim.pending_events(), before);
+  const auto fired = sim.counters().fired;
+  sim.run_until(sim.now() + 3600.0);
+  EXPECT_EQ(sim.counters().fired, fired);
+}
+
 TEST(RobustnessSamples, WindowsReportWasteAndDownChannels) {
   const auto env = small_env();
   const auto ds = mixed_dataset();
