@@ -15,7 +15,7 @@ double HealthMonitor::fault_phi_at(const PathState& s, Seconds at) {
 }
 
 void HealthMonitor::observe_goodput(int path, Seconds at, double fraction) {
-  if (path < 0 || path >= paths()) return;
+  if (path < 0 || path >= static_cast<int>(state_.size())) return;
   auto& s = state_[static_cast<std::size_t>(path)];
   fraction = std::min(1.0, std::max(0.0, fraction));
   s.ewma_fraction += kEwmaAlpha * (fraction - s.ewma_fraction);
@@ -23,7 +23,7 @@ void HealthMonitor::observe_goodput(int path, Seconds at, double fraction) {
 }
 
 void HealthMonitor::observe_fault(int path, Seconds at, double weight) {
-  if (path < 0 || path >= paths()) return;
+  if (path < 0 || path >= static_cast<int>(state_.size())) return;
   auto& s = state_[static_cast<std::size_t>(path)];
   // Bring the decaying accumulator current, then add the new demerit.
   s.fault_phi = fault_phi_at(s, at) + kFaultWeight * std::max(0.0, weight);
@@ -32,7 +32,7 @@ void HealthMonitor::observe_fault(int path, Seconds at, double weight) {
 }
 
 double HealthMonitor::phi(int path) const {
-  if (path < 0 || path >= paths()) return kFailPhi;
+  if (path < 0 || path >= static_cast<int>(state_.size())) return kFailPhi;
   const auto& s = state_[static_cast<std::size_t>(path)];
   const double frac = std::max(kMinFraction, s.ewma_fraction);
   return -std::log10(frac) + fault_phi_at(s, now_);

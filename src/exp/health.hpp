@@ -63,7 +63,6 @@ class HealthMonitor {
   /// channel drop; heavier events pass more).
   void observe_fault(int path, Seconds at, double weight = 1.0);
 
-  [[nodiscard]] int paths() const noexcept { return static_cast<int>(state_.size()); }
   [[nodiscard]] double phi(int path) const;
   [[nodiscard]] bool failed(int path) const { return phi(path) >= kFailPhi; }
 

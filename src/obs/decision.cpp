@@ -56,14 +56,6 @@ void write_decision_json(std::ostream& os, const Decision& d, std::size_t slot,
      << ", \"ratio\": " << json_number(d.ratio) << "}";
 }
 
-void write_decision_line(std::ostream& os, const Decision& d) {
-  char head[64];
-  std::snprintf(head, sizeof(head), "t=%9.2fs  %-10s ", d.at, d.actor);
-  os << head << d.subject;
-  if (!d.detail.empty()) os << " — " << d.detail;
-  os << "\n";
-}
-
 void DecisionLog::write_json(std::ostream& os) const {
   os << "{\n  \"schema\": \"eadt-decisions-v1\",\n  \"decisions\": [";
   for (std::size_t i = 0; i < decisions_.size(); ++i) {
@@ -74,7 +66,13 @@ void DecisionLog::write_json(std::ostream& os) const {
 }
 
 void DecisionLog::write_narrative(std::ostream& os) const {
-  for (const auto& d : decisions_) write_decision_line(os, d);
+  for (const auto& d : decisions_) {
+    char head[64];
+    std::snprintf(head, sizeof(head), "t=%9.2fs  %-10s ", d.at, d.actor);
+    os << head << d.subject;
+    if (!d.detail.empty()) os << " — " << d.detail;
+    os << "\n";
+  }
 }
 
 }  // namespace eadt::obs

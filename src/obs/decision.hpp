@@ -90,7 +90,4 @@ class DecisionLog {
 void write_decision_json(std::ostream& os, const Decision& d, std::size_t slot,
                          const std::string* task);
 
-/// One narrative line (trailing newline included).
-void write_decision_line(std::ostream& os, const Decision& d);
-
 }  // namespace eadt::obs

@@ -30,10 +30,6 @@ inline constexpr Bytes kKB = 1024ULL;
 inline constexpr Bytes kMB = 1024ULL * kKB;
 inline constexpr Bytes kGB = 1024ULL * kMB;
 
-constexpr Bytes operator""_KB(unsigned long long v) { return v * kKB; }
-constexpr Bytes operator""_MB(unsigned long long v) { return v * kMB; }
-constexpr Bytes operator""_GB(unsigned long long v) { return v * kGB; }
-
 /// Megabits/s -> bits/s.
 constexpr BitsPerSecond mbps(double v) { return v * 1e6; }
 /// Gigabits/s -> bits/s.
