@@ -116,6 +116,8 @@ class TransferSession {
                   TransferPlan plan, SessionConfig config = {});
   /// Cancels the plan events still pending: a shared simulation outlives it.
   ~TransferSession();
+  TransferSession(const TransferSession&) = delete;  // plan events hold `this`
+  TransferSession& operator=(const TransferSession&) = delete;
 
   /// Install a failure workload; call before run(). A default-constructed
   /// (inactive) plan — also the default — leaves the engine byte-identical
