@@ -158,15 +158,6 @@ std::string scheduler_report_payload(const SchedulerReport& report) {
 
 namespace {
 
-[[nodiscard]] int class_rank(SlaClass cls) noexcept {
-  switch (cls) {
-    case SlaClass::kInteractive: return 0;
-    case SlaClass::kStandard: return 1;
-    case SlaClass::kScavenger: return 2;
-  }
-  return 1;
-}
-
 /// Degradation-ladder cursor: a tenant's current operating point (policy +
 /// channel cap) and the aborts seen at it.
 struct LadderState {
@@ -253,32 +244,35 @@ void run_phase(TickPool* pool, std::size_t count, Fn&& fn) {
 
 }  // namespace
 
+/// One running session of a tenant: its first leg, or the second leg of its
+/// hedge race. A leg holds a session only while it runs.
+struct Scheduler::Leg {
+  Tenant* tenant = nullptr;
+  std::unique_ptr<proto::TransferSession> session;
+  std::unique_ptr<proto::Controller> controller;
+  Seconds started = 0.0;  ///< raw clock at the session's begin()
+  int site = 0;           ///< placement: index into sites_
+};
+
 /// One tenant's live state. `out` accumulates the reportable fate; the rest
-/// is the machinery of the current leg.
+/// is the machinery of the current legs.
 struct Scheduler::Tenant {
-  std::size_t index = 0;
   SchedulerJob spec;
   LadderState ladder{JobPolicy::kBalanced, 1};
   std::optional<proto::TransferCheckpoint> journal;
-  std::unique_ptr<proto::TransferSession> session;
-  std::unique_ptr<proto::Controller> controller;
   obs::ObsSinks* sinks = nullptr;
-  Seconds attempt_started = 0.0;   ///< raw clock at the current leg's begin()
-  Seconds attempt_deadline = 0.0;  ///< watchdog for the current leg (0 = none)
   int deadline_aborts = 0;  ///< watchdog aborts only; preemptions don't count
-  int path = 0;             ///< current placement: index into the path table
   enum class State { kPending, kQueued, kDeferred, kRunning, kDone } state = State::kPending;
   /// > 0: the last abort projected a finish past the job deadline, so the
   /// next dispatch also starts a second leg.
   Seconds hedge_projection = 0.0;
-  /// The hedge race's second leg: a record that runs through the tick like
-  /// any tenant but is never queued, watchdogged or preempted itself. Live
-  /// while its session is; kept afterwards (one race per tenant).
-  std::unique_ptr<Tenant> leg;
-  Tenant* racing_for = nullptr;  ///< on a second leg: the tenant it races for
+  /// The first leg is watchdogged and preempted; the race's second leg runs
+  /// through the tick like it but shares its deadline and its fate.
+  Leg leg;
+  Leg hedge;
   TenantOutcome out;
 
-  [[nodiscard]] bool racing() const noexcept { return leg != nullptr && leg->session; }
+  [[nodiscard]] bool racing() const noexcept { return hedge.session != nullptr; }
   /// Where the tenant's transfer clock stands between legs: its journal's
   /// taken_at (the last leg's duration, not rounded through the raw clock),
   /// or 0 before any leg. Recovery events are stamped with it.
@@ -303,25 +297,17 @@ void Scheduler::record(Tenant& t, RecoveryAction action, Seconds at,
   t.out.recovery.events.push_back({at, std::max(1, t.out.attempts), action,
                                    to_string(t.ladder.policy), t.ladder.channels,
                                    detail});
-  obs::ObsSinks* s = t.sinks;
-  if (s == nullptr) return;
-  if (s->metrics != nullptr) s->metrics->counter(recovery_metric(action)).add(1);
-  if (s->decisions != nullptr) {
-    obs::Decision d;
-    d.at = at;
-    d.kind = recovery_decision_kind(action);
-    d.actor = "Scheduler";
-    d.level = t.ladder.channels;
-    d.chosen = t.ladder.channels;
-    d.subject = std::string(to_string(action)) + " " + t.out.name + " (" +
-                to_string(t.ladder.policy) + ")";
-    d.detail = std::move(detail);
-    s->decisions->record(std::move(d));
+  if (t.sinks != nullptr && t.sinks->metrics != nullptr) {
+    t.sinks->metrics->counter(recovery_metric(action)).add(1);
   }
+  decide(t, recovery_decision_kind(action), at,
+         std::string(to_string(action)) + " " + t.out.name + " (" +
+             to_string(t.ladder.policy) + ")",
+         std::move(detail), t.ladder.channels);
 }
 
 void Scheduler::decide(Tenant& t, obs::DecisionKind kind, Seconds at, std::string subject,
-                       std::string detail) {
+                       std::string detail, std::optional<int> chosen) {
   obs::ObsSinks* s = t.sinks;
   if (s == nullptr || s->decisions == nullptr) return;
   obs::Decision d;
@@ -329,7 +315,7 @@ void Scheduler::decide(Tenant& t, obs::DecisionKind kind, Seconds at, std::strin
   d.kind = kind;
   d.actor = "Scheduler";
   d.level = t.ladder.channels;
-  d.chosen = static_cast<int>(running_.size());
+  d.chosen = chosen.value_or(static_cast<int>(running_.size()));
   d.subject = std::move(subject);
   d.detail = std::move(detail);
   s->decisions->record(std::move(d));
@@ -356,8 +342,8 @@ void Scheduler::on_submit(Tenant& t) {
   const int waiting = static_cast<int>(queue_.size()) + deferred_;
   // Shed only when no site could ever host one session under its cap.
   bool over_cap = true;
-  for (std::size_t p = 0; p < path_cap_.size(); ++p) {
-    if (path_cap_[p] <= 0.0 || path_session_peak_[p] <= path_cap_[p]) over_cap = false;
+  for (const Site& site : sites_) {
+    if (site.cap <= 0.0 || site.session_peak <= site.cap) over_cap = false;
   }
   if (waiting >= policy_.max_queue_depth || over_cap) {
     t.out.rejected = true;
@@ -395,19 +381,16 @@ void Scheduler::on_submit(Tenant& t) {
   try_dispatch();
 }
 
-void Scheduler::enqueue(Tenant& t) {
+void Scheduler::enqueue(Tenant& t, bool head_of_class) {
   t.state = Tenant::State::kQueued;
-  // Class-priority insertion, stable within a class: interactive jobs pass
-  // waiting batch work, scavengers go last.
-  const int rank = class_rank(t.out.sla_class);
-  auto it = queue_.begin();
-  while (it != queue_.end() && class_rank((*it)->out.sla_class) <= rank) ++it;
-  queue_.insert(it, &t);
-}
-
-bool Scheduler::can_dispatch(const Tenant&) const {
-  if (static_cast<int>(running_.size()) >= policy_.max_concurrent) return false;
-  return pick_path() >= 0;
+  // The queue is sorted by class: interactive jobs pass waiting batch work,
+  // scavengers go last, and a tenant joins behind its class unless it goes
+  // to the head of it.
+  const SlaClass cls = t.out.sla_class;
+  const auto ahead = [cls, head_of_class](const Tenant* q) {
+    return q->out.sla_class < cls || (!head_of_class && q->out.sla_class == cls);
+  };
+  queue_.insert(std::partition_point(queue_.begin(), queue_.end(), ahead), &t);
 }
 
 int Scheduler::pick_path(int exclude) const {
@@ -416,14 +399,14 @@ int Scheduler::pick_path(int exclude) const {
   for (const bool allow_failed : {false, true}) {
     int best = -1;
     double best_phi = 0.0;
-    for (int p = 0; p < static_cast<int>(path_envs_.size()); ++p) {
+    for (int p = 0; p < static_cast<int>(sites_.size()); ++p) {
       if (p == exclude || (!allow_failed && health_->failed(p))) continue;
-      const Watts cap = path_cap_[p];
-      if (cap > 0.0 && path_running_peak_[p] + path_session_peak_[p] > cap + 1e-9) {
+      const Site& site = sites_[p];
+      if (site.cap > 0.0 && site.running_peak + site.session_peak > site.cap + 1e-9) {
         continue;  // this site has no power headroom for one more session
       }
       if (policy_.power_cap > 0.0 &&
-          running_peak_sum_ + path_session_peak_[p] > policy_.power_cap + 1e-9) {
+          running_peak_sum_ + site.session_peak > policy_.power_cap + 1e-9) {
         continue;  // the cross-site sum is capped too
       }
       const double phi = health_->phi(p);
@@ -435,11 +418,6 @@ int Scheduler::pick_path(int exclude) const {
     if (best >= 0) return best;
   }
   return -1;
-}
-
-void Scheduler::release_capacity(const Tenant& t) {
-  running_peak_sum_ -= path_session_peak_[t.path];
-  path_running_peak_[t.path] -= path_session_peak_[t.path];
 }
 
 TickPool* Scheduler::tick_pool() const noexcept {
@@ -458,9 +436,11 @@ TickPool* Scheduler::tick_pool() const noexcept {
 void Scheduler::try_dispatch() {
   while (!queue_.empty()) {
     Tenant& head = *queue_.front();
-    if (can_dispatch(head)) {
+    const int site =
+        static_cast<int>(running_.size()) < policy_.max_concurrent ? pick_path() : -1;
+    if (site >= 0) {
       queue_.erase(queue_.begin());
-      dispatch(head);
+      dispatch(head, site);
       continue;
     }
     // An interactive tenant blocked on capacity may evict background work:
@@ -468,8 +448,9 @@ void Scheduler::try_dispatch() {
     if (head.out.sla_class == SlaClass::kInteractive) {
       Tenant* victim = nullptr;
       for (auto it = running_.rbegin(); it != running_.rend(); ++it) {
-        if ((*it)->racing_for == nullptr && (*it)->out.sla_class == SlaClass::kScavenger) {
-          victim = *it;
+        Tenant& t = *(*it)->tenant;
+        if (*it == &t.leg && t.out.sla_class == SlaClass::kScavenger) {
+          victim = &t;
           break;
         }
       }
@@ -482,7 +463,7 @@ void Scheduler::try_dispatch() {
   }
 }
 
-void Scheduler::dispatch(Tenant& t) {
+void Scheduler::dispatch(Tenant& t, int site) {
   // Placement IS migration: every dispatch (first leg, resume after an
   // abort, re-dispatch after a preemption) lands on the healthiest path with
   // power headroom. A journal taken on a different path than the one chosen
@@ -490,30 +471,28 @@ void Scheduler::dispatch(Tenant& t) {
   // `migrations <= attempts` an invariant rather than a hope. With one path
   // every journal was taken on it, so a schedule without alternates never
   // migrates.
-  const int chosen = pick_path();
-  if (chosen >= 0) {
-    if (t.journal && t.journal->path_id != chosen) {
-      ++t.out.migrations;
-      ++report_.migrations;
-      record(t, RecoveryAction::kMigrate, t.journal->taken_at,
-             "resuming on " + policy_.paths.option(chosen).name + " (phi " +
-                 std::to_string(health_->phi(chosen)) + ") instead of " +
-                 policy_.paths.option(t.journal->path_id).name + " (phi " +
-                 std::to_string(health_->phi(t.journal->path_id)) + ")");
-    }
-    t.path = chosen;
+  if (t.journal && t.journal->path_id != site) {
+    ++t.out.migrations;
+    ++report_.migrations;
+    record(t, RecoveryAction::kMigrate, t.journal->taken_at,
+           "resuming on " + policy_.paths.option(site).name + " (phi " +
+               std::to_string(health_->phi(site)) + ") instead of " +
+               policy_.paths.option(t.journal->path_id).name + " (phi " +
+               std::to_string(health_->phi(t.journal->path_id)) + ")");
   }
-  t.out.path = t.path;
+  t.leg.site = site;
+  t.out.path = site;
   // A leg that refuses to start was attempted too.
   ++t.out.attempts;
   if (t.out.attempts == 1) t.out.started_at = sim_.now();
-  if (auto bad = launch(t, t)) {
+  if (auto bad = launch(t.leg)) {
     const Seconds at = t.transfer_time();
     t.out.result = proto::RunResult{};
     t.out.result.error = *bad;
     fail(t, std::move(*bad), at);
     return;
   }
+  t.state = Tenant::State::kRunning;
   if (t.journal) {
     record(t, RecoveryAction::kResume, t.journal->taken_at,
            "resuming from the checkpoint journal (" +
@@ -526,50 +505,63 @@ void Scheduler::dispatch(Tenant& t) {
   if (t.hedge_projection > 0.0) start_race(t);
 }
 
-std::optional<std::string> Scheduler::launch(Tenant& leg, const Tenant& t) {
+std::optional<std::string> Scheduler::launch(Leg& leg) {
+  const Tenant& t = *leg.tenant;
   const TransferJob& job = t.spec.job;
   obs::DecisionLog* decisions = t.sinks != nullptr ? t.sinks->decisions : nullptr;
-  const proto::Environment& env = path_envs_[leg.path];
+  Site& site = sites_[leg.site];
   // Re-planning against the leg's path is what adapts a failed-over leg:
   // the tuner sees that path's BDP and buffer, not the primary's.
   OperatingPoint op = make_operating_point(
-      env, job.dataset, t.ladder.policy, t.ladder.channels,
+      site.env, job.dataset, t.ladder.policy, t.ladder.channels,
       job.sla_percent, job.energy_budget, reference_rate_, decisions);
 
   proto::SessionConfig config = base_config_;
   config.obs = t.sinks;
-  config.path_id = leg.path;
+  config.path_id = leg.site;
   if (policy_.supervision.attempt_deadline > 0.0) {
     config.max_sim_time = policy_.supervision.attempt_deadline;
   }
   leg.session = std::make_unique<proto::TransferSession>(
-      sim_, env, job.dataset, std::move(op.plan), config);
+      sim_, site.env, job.dataset, std::move(op.plan), config);
   leg.controller = std::move(op.controller);
-  leg.session->set_fault_plan(faults_.for_path(leg.path));
-  if (t.journal) {
-    std::string err;
-    if (!leg.session->resume_from(*t.journal, &err)) return "resume failed: " + err;
+  leg.session->set_fault_plan(faults_.for_path(leg.site));
+  std::optional<std::string> bad;
+  if (std::string err; t.journal && !leg.session->resume_from(*t.journal, &err)) {
+    bad = "resume failed: " + err;
+  } else {
+    bad = leg.session->begin(leg.controller.get());
   }
-  if (auto bad = leg.session->begin(leg.controller.get())) return bad;
-  leg.attempt_started = sim_.now();
-  leg.attempt_deadline = policy_.supervision.attempt_deadline;
-  leg.state = Tenant::State::kRunning;
+  if (bad) {
+    leg.session.reset();
+    leg.controller.reset();
+    return bad;
+  }
+  leg.started = sim_.now();
   running_.push_back(&leg);
-  running_peak_sum_ += path_session_peak_[leg.path];
-  path_running_peak_[leg.path] += path_session_peak_[leg.path];
+  running_peak_sum_ += site.session_peak;
+  site.running_peak += site.session_peak;
   report_.peak_power_bound = std::max(report_.peak_power_bound, running_peak_sum_);
   report_.max_concurrent_observed =
       std::max(report_.max_concurrent_observed, static_cast<int>(running_.size()));
   return std::nullopt;
 }
 
-proto::RunResult Scheduler::stop(Tenant& leg, bool completed, Seconds end_raw) {
+proto::RunResult Scheduler::stop(Leg& leg, bool completed, Seconds end_raw) {
   proto::RunResult res = leg.session->finalize(completed, end_raw);
   leg.session.reset();
   leg.controller.reset();
   running_.erase(std::find(running_.begin(), running_.end(), &leg));
-  release_capacity(leg);
+  Site& site = sites_[leg.site];
+  running_peak_sum_ -= site.session_peak;
+  site.running_peak -= site.session_peak;
   return res;
+}
+
+void Scheduler::checkpoint(Tenant& t, Seconds end_raw) {
+  if (t.racing()) end_race(t, t.hedge);
+  t.out.result = stop(t.leg, false, end_raw);
+  t.journal = t.out.result.checkpoint;
 }
 
 void Scheduler::start_race(Tenant& t) {
@@ -577,26 +569,21 @@ void Scheduler::start_race(Tenant& t) {
   // The second leg needs a slot and another path with power headroom;
   // without them the tenant runs one leg and the race never happened.
   if (static_cast<int>(running_.size()) >= policy_.max_concurrent) return;
-  const int second = pick_path(t.path);
+  const int second = pick_path(t.leg.site);
   if (second < 0) return;
-  auto leg = std::make_unique<Tenant>();
-  leg->racing_for = &t;
-  leg->path = second;
-  leg->sinks = t.sinks;
-  leg->out.sla_class = t.out.sla_class;
+  t.hedge.site = second;
   // It resumes from the journal the first leg just resumed from, so it
   // cannot refuse where that one started.
-  if (launch(*leg, t)) return;
-  t.leg = std::move(leg);
+  if (launch(t.hedge)) return;
   ++races_;
   record(t, RecoveryAction::kHedge, t.journal->taken_at,
          "projected finish " + std::to_string(projected) + " s > deadline " +
              std::to_string(policy_.supervision.job_deadline) +
-             " s; racing the tail on '" + policy_.paths.option(t.path).name +
+             " s; racing the tail on '" + policy_.paths.option(t.leg.site).name +
              "' and '" + policy_.paths.option(second).name + "'");
 }
 
-void Scheduler::end_race(Tenant& t, Tenant& loser) {
+void Scheduler::end_race(Tenant& t, Leg& loser) {
   // Both legs resumed from t's journal, so what the cancelled one burned
   // since the fork is the race's double-spend.
   const proto::RunResult cancelled = stop(loser, false, sim_.now());
@@ -606,9 +593,7 @@ void Scheduler::end_race(Tenant& t, Tenant& loser) {
 }
 
 void Scheduler::preempt(Tenant& t) {
-  if (t.racing()) end_race(t, *t.leg);
-  t.out.result = stop(t, false, sim_.now());
-  t.journal = t.out.result.checkpoint;
+  checkpoint(t, sim_.now());
   ++t.out.preemptions;
   ++report_.preemptions;
   record(t, RecoveryAction::kPreempt, t.transfer_time(),
@@ -617,12 +602,11 @@ void Scheduler::preempt(Tenant& t) {
   enqueue(t);  // scavenger rank puts it behind all foreground work
 }
 
-void Scheduler::abort_attempt(Tenant& t, Seconds end_raw) {
+void Scheduler::abort_attempt(Tenant& t) {
   // A race's legs share one deadline: the second is cancelled, and the
   // first aborts like any leg.
-  if (t.racing()) end_race(t, *t.leg);
-  t.out.result = stop(t, false, end_raw);
-  t.journal = t.out.result.checkpoint;
+  const SupervisorPolicy& sup = policy_.supervision;
+  checkpoint(t, t.leg.started + sup.attempt_deadline);
   const Seconds at = t.transfer_time();
   ++t.deadline_aborts;
   ++watchdog_aborts_;
@@ -631,20 +615,19 @@ void Scheduler::abort_attempt(Tenant& t, Seconds end_raw) {
   }
   // A watchdog abort is evidence against the path the leg ran on; the
   // demerit decays with sim-time, so one flap does not exile a site.
-  health_->observe_fault(t.path, sim_.now());
+  health_->observe_fault(t.leg.site, sim_.now());
   record(t, RecoveryAction::kDeadlineAbort, at,
-         "attempt hit its " + std::to_string(t.attempt_deadline) +
+         "attempt hit its " + std::to_string(sup.attempt_deadline) +
              " s deadline; checkpoint taken");
-  if (t.deadline_aborts >= policy_.supervision.max_attempts) {
-    fail(t, "retry budget (" + std::to_string(policy_.supervision.max_attempts) +
-                " attempts) spent", at);
+  if (t.deadline_aborts >= sup.max_attempts) {
+    fail(t, "retry budget (" + std::to_string(sup.max_attempts) + " attempts) spent", at);
     return;
   }
   if (!t.journal) {
     fail(t, "aborted run left no checkpoint", at);
     return;
   }
-  if (const auto step = t.ladder.on_abort(policy_.supervision)) {
+  if (const auto step = t.ladder.on_abort(sup)) {
     record(t, *step, at,
            *step == RecoveryAction::kReduceChannels
                ? "stepping down to " + std::to_string(t.ladder.channels) + " channels"
@@ -652,7 +635,6 @@ void Scheduler::abort_attempt(Tenant& t, Seconds end_raw) {
   }
   // A finish projected past the job deadline races the tail on a second
   // path at the next dispatch (when there is one), once per tenant.
-  const SupervisorPolicy& sup = policy_.supervision;
   if (sup.hedge && sup.job_deadline > 0.0 && t.out.hedge_legs == 0) {
     const proto::Dataset& ds = t.spec.job.dataset;
     const Bytes remaining = ds.total_bytes() - t.journal->delivered_bytes(ds);
@@ -664,34 +646,29 @@ void Scheduler::abort_attempt(Tenant& t, Seconds end_raw) {
   }
   // An aborted job keeps its place at the head of its class: it has already
   // burned site time and should finish before fresh arrivals of equal rank.
-  t.state = Tenant::State::kQueued;
-  const int rank = class_rank(t.out.sla_class);
-  auto it = queue_.begin();
-  while (it != queue_.end() && class_rank((*it)->out.sla_class) < rank) ++it;
-  queue_.insert(it, &t);
+  enqueue(t, /*head_of_class=*/true);
 }
 
-void Scheduler::complete(Tenant& leg) {
-  Tenant& t = leg.racing_for != nullptr ? *leg.racing_for : leg;
+void Scheduler::complete(Leg& leg) {
+  Tenant& t = *leg.tenant;
   Seconds end_raw = sim_.now();
-  if (leg.attempt_deadline > 0.0) {
+  if (policy_.supervision.attempt_deadline > 0.0) {
     // Same clamp as the single-session run loop: ticker float error must not
     // push a finish past the watchdog deadline it was admitted under.
-    end_raw = std::min(end_raw, leg.attempt_started + leg.attempt_deadline);
+    end_raw = std::min(end_raw, leg.started + policy_.supervision.attempt_deadline);
   }
   // The first leg to finish wins a race. finished_ is in dispatch order, so
   // when both finish in one tick the first-dispatched leg gets here first.
   const bool won_race = t.racing();
   const Joules spent = t.out.hedge_energy;
-  if (won_race) end_race(t, &leg == &t ? *t.leg : t);
+  if (won_race) end_race(t, &leg == &t.leg ? t.hedge : t.leg);
   t.out.result = stop(leg, true, end_raw);
-  t.path = leg.path;
-  t.out.path = leg.path;
+  t.out.path = leg.site;
   t.out.finished_at = sim_.now();
   if (won_race) {
     const Seconds at = t.out.result.duration;
     decide(t, obs::DecisionKind::kHedgeWin, at,
-           "hedge won by '" + policy_.paths.option(leg.path).name + "'",
+           "hedge won by '" + policy_.paths.option(leg.site).name + "'",
            "loser cancelled at " + std::to_string(at) + " s after " +
                std::to_string(t.out.hedge_energy - spent) + " J double-spend");
   }
@@ -751,21 +728,20 @@ bool Scheduler::master_tick() {
   // a new leg's first slice is its local (0, tick], as in the engine's own
   // run; begun here, it would advance once at local time 0 and move bytes
   // its reported duration never counts.
-  if (policy_.supervision.attempt_deadline > 0.0 && !running_.empty()) {
+  if (const Seconds deadline = policy_.supervision.attempt_deadline;
+      deadline > 0.0 && !running_.empty()) {
     overdue_.clear();
-    for (Tenant* t : running_) {
+    for (Leg* leg : running_) {
       // A second leg shares its tenant's deadline; the tenant's abort ends it.
-      if (t->racing_for == nullptr && sim_.now() - t->attempt_started > t->attempt_deadline) {
-        overdue_.push_back(t);
+      if (leg == &leg->tenant->leg && sim_.now() - leg->started > deadline) {
+        overdue_.push_back(leg->tenant);
       }
     }
-    for (Tenant* t : overdue_) {
-      abort_attempt(*t, t->attempt_started + t->attempt_deadline);
-    }
+    for (Tenant* t : overdue_) abort_attempt(*t);
   }
 
   if (!running_.empty()) {
-    const int n = static_cast<int>(path_envs_.size());
+    const int n = static_cast<int>(sites_.size());
     const std::size_t n_run = running_.size();
     TickPool* pool = tick_pool();
     PhaseTimer timer(profiler_);
@@ -781,15 +757,15 @@ bool Scheduler::master_tick() {
     const std::size_t chunks = (n_run + kTenantsPerChunk - 1) / kTenantsPerChunk;
     if (chunk_demands_.size() < chunks) chunk_demands_.resize(chunks);
     run_phase(pool, n_run, [&](std::size_t i) {
-      const Tenant& t = *running_[i];
-      proto::TransferSession& s = *t.session;
+      const Leg& leg = *running_[i];
+      proto::TransferSession& s = *leg.session;
       s.tick_prepare();
       s.collect_link_demands();
       std::vector<net::Demand>& buffer = chunk_demands_[i / kTenantsPerChunk];
       if (i % kTenantsPerChunk == 0) buffer.clear();
       const auto demands = s.link_demands();
       TickStage& stage = tick_stage_[i];
-      stage.path = t.path;
+      stage.site = leg.site;
       stage.streams = s.aggregate_streams();
       stage.demand = s.aggregate_demand();
       stage.path_factor = s.path_factor();
@@ -806,8 +782,11 @@ bool Scheduler::master_tick() {
     // carry no goodput signal (an idle path is not an unhealthy path) and
     // are skipped by the health feed below. Each path has its own arbiter,
     // so every round's slices stay valid for the apply phase.
-    path_capacity_.assign(n, -1.0);
     for (int p = 0; p < n; ++p) {
+      Site& site = sites_[p];
+      site.capacity = -1.0;  // this tick's books start empty
+      site.measured = 0.0;
+      site.bytes = 0.0;
       // Site-level brownouts scale the path for everyone on it, and a
       // per-session fault brownout is a property of the path too — the most
       // degraded view wins. With one tenant and no site events this is
@@ -818,7 +797,7 @@ bool Scheduler::master_tick() {
       int agg_streams = 0;
       for (std::size_t i = 0; i < n_run; ++i) {
         const TickStage& stage = tick_stage_[i];
-        if (stage.path != p) continue;
+        if (stage.site != p) continue;
         min_path = placed ? std::min(min_path, stage.path_factor) : stage.path_factor;
         placed = true;
         agg_demand += stage.demand;
@@ -826,18 +805,17 @@ bool Scheduler::master_tick() {
       }
       if (!placed) continue;
       const BitsPerSecond capacity =
-          path_envs_[p].path.available_bandwidth() * path_link_factor_[p] * min_path;
-      path_capacity_[p] = capacity;
+          site.env.path.available_bandwidth() * site.link_factor * min_path;
+      site.capacity = capacity;
 
       // The round is over the flows in admission order; how they are cut
       // into submissions does not change it. Consecutive tenants of one
       // chunk have adjacent demands in its buffer, so each run of them on
       // this path is submitted as one range.
-      PathRound& round = path_round_[p];
-      round.arbiter.begin_round(capacity);
+      site.arbiter.begin_round(capacity);
       std::uint32_t slices = 0;
       for (std::size_t i = 0; i < n_run;) {
-        if (tick_stage_[i].path != p) {
+        if (tick_stage_[i].site != p) {
           ++i;
           continue;
         }
@@ -845,18 +823,18 @@ bool Scheduler::master_tick() {
         const std::size_t chunk_end = std::min(n_run, (chunk + 1) * kTenantsPerChunk);
         const std::uint32_t first = tick_stage_[i].offset;
         std::size_t flows = 0;
-        for (; i < chunk_end && tick_stage_[i].path == p; ++i) {
+        for (; i < chunk_end && tick_stage_[i].site == p; ++i) {
           TickStage& stage = tick_stage_[i];
           stage.slice = slices;
           stage.offset -= first;
           flows += stage.count;
         }
-        round.arbiter.submit({chunk_demands_[chunk].data() + first, flows});
+        site.arbiter.submit({chunk_demands_[chunk].data() + first, flows});
         ++slices;
       }
-      round.arbiter.allocate();
-      round.factors = net::round_factors(path_envs_[p].congestion, capacity, agg_demand,
-                                         agg_streams, round.arbiter.allocation());
+      site.arbiter.allocate();
+      site.factors = net::round_factors(site.env.congestion, capacity, agg_demand,
+                                        agg_streams, site.arbiter.allocation());
     }
     timer.lap(obs::TickProfiler::kArbiter);
 
@@ -872,11 +850,11 @@ bool Scheduler::master_tick() {
     // the serial commit.
     const auto compute = [&](std::size_t i) {
       const TickStage& stage = tick_stage_[i];
-      const PathRound& round = path_round_[stage.path];
+      const Site& site = sites_[stage.site];
       proto::TransferSession& s = *running_[i]->session;
-      const auto slice = round.arbiter.slice(stage.slice);
-      s.apply_link_allocation(slice.subspan(stage.offset, stage.count), round.factors.eff,
-                              round.factors.burst_cap);
+      const auto slice = site.arbiter.slice(stage.slice);
+      s.apply_link_allocation(slice.subspan(stage.offset, stage.count), site.factors.eff,
+                              site.factors.burst_cap);
       s.advance_compute();
     };
     const auto commit = [&](std::size_t i) {
@@ -910,14 +888,12 @@ bool Scheduler::master_tick() {
     // completion.
     finished_.clear();
     Watts measured = 0.0;
-    path_measured_.assign(n, 0.0);
-    path_bytes_.assign(n, 0.0);
     for (std::size_t i = 0; i < n_run; ++i) {
       const TickResult& result = tick_result_[i];
-      const int p = tick_stage_[i].path;
+      Site& site = sites_[tick_stage_[i].site];
       measured += result.power;
-      path_measured_[p] += result.power;
-      path_bytes_[p] += static_cast<double>(result.bytes);
+      site.measured += result.power;
+      site.bytes += static_cast<double>(result.bytes);
       if (!result.more) finished_.push_back(running_[i]);
     }
     report_.peak_power = std::max(report_.peak_power, measured);
@@ -928,7 +904,8 @@ bool Scheduler::master_tick() {
     // alternates have per-site sums of their own to hold under a cap.
     const int capped_sites = multipath() ? n : 0;
     const auto site_over_cap = [this](int p) {
-      return path_cap_[p] > 0.0 && path_measured_[p] > path_cap_[p] * (1.0 + 1e-9);
+      const Site& site = sites_[p];
+      return site.cap > 0.0 && site.measured > site.cap * (1.0 + 1e-9);
     };
     for (int p = 0; p < capped_sites; ++p) {
       if (site_over_cap(p)) ++report_.power_cap_violations;
@@ -947,25 +924,26 @@ bool Scheduler::master_tick() {
       }
     }
     for (int p = 0; p < n; ++p) {
-      if (path_capacity_[p] < 0.0) continue;  // no tenants placed here this tick
+      const Site& site = sites_[p];
+      if (site.capacity < 0.0) continue;  // no tenants placed here this tick
       // Scored against the path's *nominal* bandwidth, not the browned-out
       // arbitration capacity: a brownout must read as lost goodput, otherwise
       // a path delivering 10% of itself would look perfectly healthy.
-      const double expected =
-          path_envs_[p].path.available_bandwidth() * base_config_.tick / 8.0;
-      const double frac = expected > 0.0 ? path_bytes_[p] / expected : 1.0;
+      const double expected = site.env.path.available_bandwidth() * base_config_.tick / 8.0;
+      const double frac = expected > 0.0 ? site.bytes / expected : 1.0;
       health_->observe_goodput(p, sim_.now(), std::min(1.0, frac));
     }
     if (collector_ != nullptr) publish_tick_gauges(measured);
     if (sched_sinks_ != nullptr && sched_sinks_->trace != nullptr) {
-      for (std::size_t p = 0; p < path_phi_track_.size(); ++p) {
-        sched_sinks_->trace->counter(sim_.now(), path_phi_track_[p],
-                                     health_->phi(static_cast<int>(p)));
+      for (int p = 0; p < n; ++p) {
+        if (const char* track = sites_[p].phi_track) {
+          sched_sinks_->trace->counter(sim_.now(), track, health_->phi(p));
+        }
       }
     }
     sample_telemetry(measured);
-    for (Tenant* t : finished_) {
-      if (t->session) complete(*t);  // else: a race leg cancelled this tick
+    for (Leg* leg : finished_) {
+      if (leg->session) complete(*leg);  // else: a race leg cancelled this tick
     }
     timer.lap(obs::TickProfiler::kCommit);
   }
@@ -979,15 +957,15 @@ void Scheduler::publish_tick_gauges(Watts measured) {
   if (peak_power_gauge_ == nullptr) {
     peak_power_gauge_ = &collector_->metrics().gauge("scheduler.peak_power_w");
     if (multipath()) {
-      for (const auto& option : policy_.paths.options()) {
-        path_phi_gauge_.push_back(
-            &collector_->metrics().gauge("scheduler.path." + option.name + ".phi"));
+      for (int p = 0; p < policy_.paths.size(); ++p) {
+        sites_[p].phi_gauge = &collector_->metrics().gauge(
+            "scheduler.path." + policy_.paths.option(p).name + ".phi");
       }
     }
   }
   peak_power_gauge_->set_max(measured);
-  for (std::size_t p = 0; p < path_phi_gauge_.size(); ++p) {
-    path_phi_gauge_[p]->set_max(health_->phi(static_cast<int>(p)));
+  for (int p = 0; p < static_cast<int>(sites_.size()); ++p) {
+    if (obs::Gauge* gauge = sites_[p].phi_gauge) gauge->set_max(health_->phi(p));
   }
 }
 
@@ -1002,7 +980,7 @@ void Scheduler::sample_telemetry(Watts measured) {
   s.queued = static_cast<int>(queue_.size());
   s.deferred = deferred_;
   int channels = 0;
-  for (const Tenant* t : running_) channels += t->session->open_channel_count();
+  for (const Leg* leg : running_) channels += leg->session->open_channel_count();
   s.channels = channels;
   s.shed = static_cast<std::uint64_t>(report_.rejected);
   s.preempted = static_cast<std::uint64_t>(report_.preemptions);
@@ -1015,21 +993,22 @@ void Scheduler::sample_telemetry(Watts measured) {
   s.class_burn.fill(0.0);
   std::array<double, obs::kTelemetryClasses> burn_sum{};
   std::array<int, obs::kTelemetryClasses> burn_n{};
-  for (const Tenant* t : running_) {
-    const auto c = static_cast<std::size_t>(class_rank(t->out.sla_class));
+  const Seconds deadline = policy_.supervision.attempt_deadline;
+  for (const Leg* leg : running_) {
+    const auto c = static_cast<std::size_t>(leg->tenant->out.sla_class);
     ++s.class_running[c];
-    if (t->attempt_deadline > 0.0) {
-      burn_sum[c] += deadline_burn(t->attempt_started, sim_.now(), t->attempt_deadline);
+    if (deadline > 0.0) {
+      burn_sum[c] += deadline_burn(leg->started, sim_.now(), deadline);
       ++burn_n[c];
     }
   }
   for (std::size_t c = 0; c < obs::kTelemetryClasses; ++c) {
     if (burn_n[c] > 0) s.class_burn[c] = burn_sum[c] / burn_n[c];
   }
-  const std::size_t sites = std::min(telemetry_->site_count(), path_measured_.size());
+  const std::size_t sites = std::min(telemetry_->site_count(), sites_.size());
   for (std::size_t p = 0; p < sites; ++p) {
-    s.site_power_w[p] = path_measured_[p];
-    s.site_cap_w[p] = path_cap_[p];
+    s.site_power_w[p] = sites_[p].measured;
+    s.site_cap_w[p] = sites_[p].cap;
     // Health is a comparison between alternates; a lone path reports none.
     s.site_phi[p] = multipath() ? health_->phi(static_cast<int>(p)) : 0.0;
   }
@@ -1080,41 +1059,31 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
   // The path table. A schedule without alternates has exactly one entry:
   // the testbed's own environment under the global cap (`path_power_caps`
   // describe alternates).
-  path_envs_.clear();
-  path_cap_.clear();
-  if (multipath()) {
-    const auto& caps = policy_.path_power_caps;
-    for (int p = 0; p < policy_.paths.size(); ++p) {
-      path_envs_.push_back(environment_for_path(testbed_.env, policy_.paths.option(p)));
+  const int n = multipath() ? policy_.paths.size() : 1;
+  sites_ = std::vector<Site>(n);  // never resized again: sessions hold refs
+  for (int p = 0; p < n; ++p) {
+    Site& site = sites_[p];
+    site.cap = policy_.power_cap;
+    if (!multipath()) {
+      site.env = testbed_.env;
+    } else {
+      site.env = environment_for_path(testbed_.env, policy_.paths.option(p));
       // A missing or zero entry falls back to the global cap.
-      path_cap_.push_back(p < static_cast<int>(caps.size()) && caps[p] > 0.0
-                              ? caps[p]
-                              : policy_.power_cap);
+      const auto& caps = policy_.path_power_caps;
+      if (p < static_cast<int>(caps.size()) && caps[p] > 0.0) site.cap = caps[p];
     }
-  } else {
-    path_envs_.push_back(testbed_.env);
-    path_cap_.push_back(policy_.power_cap);
+    site.session_peak = session_peak_power_bound(site.env);
   }
-  // path_envs_ is stable from here on: sessions hold references into it.
-  const int n = static_cast<int>(path_envs_.size());
-  path_session_peak_.clear();
-  for (const auto& env : path_envs_) {
-    path_session_peak_.push_back(session_peak_power_bound(env));
-  }
-  path_running_peak_.assign(n, 0.0);
-  path_link_factor_.assign(n, 1.0);
-  path_round_.assign(n, PathRound{});
   health_ = std::make_unique<HealthMonitor>(n);
   peak_power_gauge_ = nullptr;
-  path_phi_gauge_.clear();
   tenants_.clear();
   tenants_.reserve(jobs.size());
   unfinished_ = static_cast<int>(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     auto t = std::make_unique<Tenant>();
-    t->index = i;
     t->spec = std::move(jobs[i]);
     t->ladder = LadderState{t->spec.job.policy, std::max(1, t->spec.job.max_channels)};
+    t->leg.tenant = t->hedge.tenant = t.get();
     t->out.name = t->spec.job.name;
     t->out.policy = t->spec.job.policy;
     t->out.sla_class = sla_class_of(t->spec.job.policy);
@@ -1132,15 +1101,14 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
     // without per-tenant drilldown; schedules with alternates add per-path
     // phi tracks showing the health the placement decisions actually saw.
     sched_sinks_ = collector_->slot(slot_base_ + tenants_.size(), "scheduler");
-    path_phi_track_.clear();
     if (sched_sinks_->trace != nullptr) {
       sched_running_track_ = sched_sinks_->trace->intern("sched.running");
       sched_queued_track_ = sched_sinks_->trace->intern("sched.queued");
       sched_shed_track_ = sched_sinks_->trace->intern("sched.shed");
       if (multipath()) {
-        for (const auto& option : policy_.paths.options()) {
-          path_phi_track_.push_back(
-              sched_sinks_->trace->intern("path." + option.name + ".phi"));
+        for (int p = 0; p < n; ++p) {
+          sites_[p].phi_track =
+              sched_sinks_->trace->intern("path." + policy_.paths.option(p).name + ".phi");
         }
       }
     }
@@ -1157,16 +1125,15 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
     // shortfall confirms it.
     sim_.schedule_at(b.start, [this, b] {
       const double f = std::max(0.0, b.capacity_factor);
-      for (int p = 0; p < static_cast<int>(path_link_factor_.size()); ++p) {
+      for (int p = 0; p < static_cast<int>(sites_.size()); ++p) {
         if (b.path != -1 && b.path != p) continue;
-        path_link_factor_[p] = f;
+        sites_[p].link_factor = f;
         health_->observe_fault(p, sim_.now());
       }
     });
     sim_.schedule_at(b.start + b.duration, [this, b] {
-      for (int p = 0; p < static_cast<int>(path_link_factor_.size()); ++p) {
-        if (b.path != -1 && b.path != p) continue;
-        path_link_factor_[p] = 1.0;
+      for (int p = 0; p < static_cast<int>(sites_.size()); ++p) {
+        if (b.path == -1 || b.path == p) sites_[p].link_factor = 1.0;
       }
     });
   }
@@ -1185,13 +1152,10 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
   for (const auto& tp : tenants_) {
     Tenant& t = *tp;
     switch (t.state) {
-      case Tenant::State::kRunning: {
-        if (t.racing()) end_race(t, *t.leg);
-        t.out.result = stop(t, false, sim_.now());
-        t.journal = t.out.result.checkpoint;
+      case Tenant::State::kRunning:
+        checkpoint(t, sim_.now());
         fail(t, "still running at the scheduler horizon", t.transfer_time());
         break;
-      }
       case Tenant::State::kDeferred:
         --deferred_;
         [[fallthrough]];

@@ -72,7 +72,9 @@ namespace eadt::exp {
 class TickPool;
 
 /// Per-tenant service class, mapped from the job's policy. The class decides
-/// how a job behaves under pressure, not which algorithm it runs.
+/// how a job behaves under pressure, not which algorithm it runs. Declared in
+/// priority order: the waiting queue sorts by it, and telemetry indexes its
+/// per-class series by it.
 enum class SlaClass {
   kInteractive,  ///< kDeadline / kSla: latency promises; may trigger preemption
   kStandard,     ///< kBalanced / kEnergyBudget: queues, never preempts
@@ -286,44 +288,52 @@ class Scheduler {
 
  private:
   struct Tenant;
+  struct Leg;
 
   void on_submit(Tenant& t);
-  void enqueue(Tenant& t);
+  /// Class-priority insertion: behind the waiting tenants of t's class, or
+  /// with `head_of_class` ahead of them.
+  void enqueue(Tenant& t, bool head_of_class = false);
   void try_dispatch();
-  [[nodiscard]] bool can_dispatch(const Tenant& t) const;
-  void dispatch(Tenant& t);
-  /// Build and begin `leg`'s session on its path for tenant `t`'s job at
-  /// t's operating point, resuming from t's journal, and book it as running.
-  /// Returns why the session refused to start instead.
-  [[nodiscard]] std::optional<std::string> launch(Tenant& leg, const Tenant& t);
+  /// Start t's first leg on `site`, and its race when an abort armed one.
+  void dispatch(Tenant& t, int site);
+  /// Build and begin `leg`'s session on its site for its tenant's job at the
+  /// tenant's operating point, resuming from the tenant's journal, and book
+  /// it as running. Returns why the session refused to start instead; the
+  /// leg then holds no session.
+  [[nodiscard]] std::optional<std::string> launch(Leg& leg);
   /// Finalize a running leg at raw clock `end_raw` and release its slot and
   /// power books.
-  proto::RunResult stop(Tenant& leg, bool completed, Seconds end_raw);
-  /// Start t's hedge race: a second leg from t's journal on another path.
+  proto::RunResult stop(Leg& leg, bool completed, Seconds end_raw);
+  /// Stop t's legs into its journal: a race's second leg is cancelled at
+  /// this tick, and the first leg stops at raw clock `end_raw`.
+  void checkpoint(Tenant& t, Seconds end_raw);
+  /// Start t's hedge race: a second leg from t's journal on another site.
   void start_race(Tenant& t);
   /// End t's race by cancelling `loser` (either leg) at this tick.
-  void end_race(Tenant& t, Tenant& loser);
+  void end_race(Tenant& t, Leg& loser);
   void preempt(Tenant& t);
-  void abort_attempt(Tenant& t, Seconds end_raw);
+  void abort_attempt(Tenant& t);
   /// Complete the tenant whose leg `leg` finished this tick.
-  void complete(Tenant& leg);
+  void complete(Leg& leg);
   /// Fail t; its give-up is stamped `at` on t's transfer clock.
   void fail(Tenant& t, std::string reason, Seconds at);
   void retire(Tenant& t);
   bool master_tick();
   void record(Tenant& t, RecoveryAction action, Seconds at, std::string detail);
+  /// Log a scheduler decision into t's slot. `chosen` is the ladder's
+  /// channel cap for a recovery action; by default, the running legs.
   void decide(Tenant& t, obs::DecisionKind kind, Seconds at, std::string subject,
-              std::string detail);
+              std::string detail, std::optional<int> chosen = std::nullopt);
   [[nodiscard]] Seconds defer_delay(const Tenant& t) const;
   /// True when the schedule has alternates. Read only where a one-entry
   /// path table would differ from the single path it stands for: building
   /// the table, the per-site cap books (with one path they are the global
   /// books) and the per-path health series.
   [[nodiscard]] bool multipath() const noexcept { return !policy_.paths.empty(); }
-  /// Healthiest path other than `exclude` with power headroom for one more
+  /// Healthiest site other than `exclude` with power headroom for one more
   /// session, or -1.
   [[nodiscard]] int pick_path(int exclude = -1) const;
-  void release_capacity(const Tenant& t);
   /// The pool when this tick should fan out, else null (serial). Parallel
   /// mode needs enough tenants to amortize the dispatch handshake, and every
   /// session on its own obs slot (slots are single-writer; without a
@@ -361,69 +371,72 @@ class Scheduler {
   sim::Simulation sim_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<Tenant*> queue_;    ///< waiting, in priority order
-  std::vector<Tenant*> running_;  ///< dispatch order (preemption scans back)
-  Watts running_peak_sum_ = 0.0;  ///< sum of running sessions' peak bounds (all paths)
+  std::vector<Leg*> running_;     ///< dispatch order (preemption scans back)
+  Watts running_peak_sum_ = 0.0;  ///< sum of running sessions' peak bounds (all sites)
   int unfinished_ = 0;            ///< tenants not yet terminal
   int deferred_ = 0;              ///< tenants parked in a tariff deferral
   int races_ = 0;                 ///< hedge races running
   std::uint64_t watchdog_aborts_ = 0;  ///< cumulative, fed to the flight ring
   SchedulerReport report_;
 
+  /// One path-table entry: an entry per PathSet option, or one for the
+  /// testbed's own environment when there are no alternates.
+  struct Site {
+    proto::Environment env;      ///< stable once run() built the table: sessions hold refs
+    Watts cap = 0.0;             ///< per-site cap (0 = uncapped)
+    Watts session_peak = 0.0;    ///< one session's provable peak here
+    Watts running_peak = 0.0;    ///< sum over the legs running here
+    double link_factor = 1.0;    ///< site brownout factor
+    /// This tick: the offered capacity (-1: no leg placed here), and the
+    /// measured power and goodput bytes (the health feed), summed in
+    /// admission order.
+    BitsPerSecond capacity = -1.0;
+    Watts measured = 0.0;
+    double bytes = 0.0;
+    /// The site's fair-share round. The arbiter keeps its slices valid until
+    /// its next round, so the apply phase reads them in place.
+    net::LinkArbiter arbiter;
+    net::RoundFactors factors;
+    const char* phi_track = nullptr;  ///< interned health track (alternates only)
+    obs::Gauge* phi_gauge = nullptr;  ///< resolved by publish_tick_gauges (alternates only)
+  };
+  std::vector<Site> sites_;
+  std::unique_ptr<HealthMonitor> health_;
+  obs::ObsSinks* sched_sinks_ = nullptr;       ///< scheduler-level obs slot
+  obs::Gauge* peak_power_gauge_ = nullptr;     ///< resolved by publish_tick_gauges
+
   // --- per-tick scratch (hoisted so a steady-state master tick performs no
   // heap allocations; scratch only — never carries state across ticks) ------
-  /// What the serial round needs of one running tenant's tick, so that it
-  /// reads no session. Indexed like running_; the prepare phase writes it
-  /// from the worker running the tenant's chunk.
+  /// What the serial round needs of one running leg's tick, so that it
+  /// reads no session. Indexed by the leg's slot in running_; the prepare
+  /// phase writes it from the worker running the leg's chunk.
   struct TickStage {
-    int path = 0;
+    int site = 0;
     int streams = 0;              ///< aggregate_streams()
     double demand = 0.0;          ///< aggregate_demand()
     double path_factor = 1.0;
-    /// Where the tenant's link demands start in its chunk's buffer; after
+    /// Where the leg's link demands start in its chunk's buffer; after
     /// the round, where its allocation starts in `slice`.
     std::uint32_t offset = 0;
     std::uint32_t count = 0;      ///< link demands (and allocations)
     std::uint32_t slice = 0;      ///< set by the round: the submission holding them
   };
   /// What the serial commit needs, written by the apply phase. Apart from
-  /// TickStage so that the commit's pass reads 24 bytes a tenant.
+  /// TickStage so that the commit's pass reads 24 bytes a leg.
   struct TickResult {
     Watts power = 0.0;
     Bytes bytes = 0;
     bool more = false;            ///< advance_commit(): not finished yet
   };
-  /// One path-table entry's fair-share round. The arbiter keeps its slices
-  /// valid until its next round, so the apply phase reads them in place.
-  struct PathRound {
-    net::LinkArbiter arbiter;
-    net::RoundFactors factors;
-  };
   std::vector<Tenant*> overdue_;        ///< watchdog sweep
-  std::vector<Tenant*> finished_;       ///< tenants completing this tick
-  std::vector<Watts> path_measured_;    ///< per-site power books
-  std::vector<double> path_bytes_;      ///< health feed
+  std::vector<Leg*> finished_;          ///< legs finishing this tick
   std::vector<TickStage> tick_stage_;   ///< indexed like running_
   std::vector<TickResult> tick_result_; ///< indexed like running_
   /// Link demands copied in the prepare phase, one buffer per pool chunk
-  /// (a chunk's tenants run in order on one thread). Never shrunk, so each
+  /// (a chunk's legs run in order on one thread). Never shrunk, so each
   /// buffer keeps its capacity across ticks.
   std::vector<std::vector<net::Demand>> chunk_demands_;
-  std::vector<PathRound> path_round_;   ///< indexed like the path table
   std::unique_ptr<TickPool> pool_;      ///< live while run() executes (jobs > 1)
-
-  // --- path table: one entry per PathSet option, or one for the testbed's
-  // own environment when there are no alternates ---------------------------
-  std::vector<proto::Environment> path_envs_;  ///< stable: sessions hold refs
-  std::vector<Watts> path_cap_;                ///< per-site cap (0 = uncapped)
-  std::vector<Watts> path_session_peak_;       ///< per-path session bound
-  std::vector<Watts> path_running_peak_;       ///< per-path running peak sums
-  std::vector<double> path_link_factor_;       ///< per-path brownout factors
-  std::vector<BitsPerSecond> path_capacity_;   ///< this tick's offered capacity
-  std::vector<const char*> path_phi_track_;    ///< interned health-track names
-  std::unique_ptr<HealthMonitor> health_;
-  obs::ObsSinks* sched_sinks_ = nullptr;       ///< scheduler-level obs slot
-  obs::Gauge* peak_power_gauge_ = nullptr;     ///< resolved by publish_tick_gauges
-  std::vector<obs::Gauge*> path_phi_gauge_;    ///< alternates only
 
   // --- scheduler-level counter tracks (collector runs only) ---------------
   const char* sched_running_track_ = nullptr;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "baselines/baselines.hpp"
+#include "exp/runner.hpp"
 #include "exp/scheduler.hpp"
 #include "obs/obs.hpp"
 
@@ -21,11 +21,9 @@ const char* to_string(JobPolicy policy) noexcept {
 
 BitsPerSecond probe_reference_rate(const testbeds::Testbed& testbed,
                                    const proto::SessionConfig& config) {
-  const auto probe = testbed.make_dataset();
-  proto::TransferSession session(
-      testbed.env, probe,
-      baselines::plan_promc(testbed.env, probe, testbed.default_max_channels), config);
-  return session.run().avg_throughput();
+  return run_algorithm(Algorithm::kProMc, testbed, testbed.make_dataset(),
+                       testbed.default_max_channels, config)
+      .result.avg_throughput();
 }
 
 TransferService::TransferService(testbeds::Testbed testbed, BitsPerSecond reference_rate,
