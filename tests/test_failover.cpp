@@ -406,6 +406,83 @@ TEST(FailoverSupervisor, WatchdogDuringARaceCancelsTheSecondLeg) {
   EXPECT_EQ(outcome.recovery.count(RecoveryAction::kResume), outcome.attempts - 1);
 }
 
+TEST(FailoverSupervisor, FasterSecondLegWinsTheRace) {
+  // "fast" is the testbed's route; "slow" the same trunk at a quarter of
+  // its bandwidth. The first attempt runs on "fast" (lowest index) and its
+  // abort's demerit places the resume on the unobserved "slow", so the
+  // second leg races on "fast" and finishes first.
+  const auto tb = small_xsede();
+  const auto job = deadline_job(tb, "overtake");
+  const Seconds T = clean_duration(tb, job);
+  net::PathSpec slow = tb.env.path;
+  slow.bandwidth /= 4.0;
+  net::PathSet paths;
+  paths.add({"fast", tb.env.path, tb.env.route, 0});
+  paths.add({"slow", slow, tb.env.route, 1});
+
+  SupervisorPolicy policy;
+  policy.attempt_deadline = 0.6 * T;
+  policy.max_attempts = 6;
+  policy.degrade_after = 4;
+  policy.paths = paths;
+  policy.job_deadline = 0.85 * T;
+  policy.hedge = true;
+  obs::DecisionLog decisions;
+  obs::ObsSinks sinks{nullptr, nullptr, &decisions};
+  const auto outcome = supervise(tb, {}, policy, job, &sinks);
+
+  EXPECT_FALSE(outcome.failed);
+  EXPECT_EQ(outcome.hedge_legs, 2);
+  EXPECT_GT(outcome.hedge_energy, 0.0);
+  EXPECT_EQ(outcome.migrations, 1);  // the resume moved to "slow"
+  EXPECT_EQ(outcome.final_path, 0);
+  const auto [wins, subject] = decisions_of(decisions, obs::DecisionKind::kHedgeWin);
+  EXPECT_EQ(wins, 1);
+  EXPECT_EQ(subject, "hedge won by 'fast'");
+  EXPECT_EQ(outcome.result.goodput_bytes(), job.dataset.total_bytes());
+}
+
+TEST(FailoverScheduler, HorizonClosesBothLegsOfARunningRace) {
+  // The race starts at the first abort (0.6 T) and would run to about T;
+  // the horizon falls inside it.
+  const auto tb = small_xsede();
+  const auto job = deadline_job(tb, "cut-short");
+  const Seconds T = clean_duration(tb, job);
+
+  SchedulerPolicy policy;
+  policy.max_concurrent = 2;
+  policy.paths = two_paths(tb);
+  policy.supervision.attempt_deadline = 0.6 * T;
+  policy.supervision.max_attempts = 6;
+  policy.supervision.degrade_after = 4;
+  policy.supervision.job_deadline = 0.85 * T;
+  policy.supervision.hedge = true;
+  policy.horizon = 0.9 * T;
+  obs::DecisionLog decisions;
+  obs::ObsSinks sinks{nullptr, nullptr, &decisions};
+  proto::SessionConfig cfg = dense_cfg();
+  cfg.obs = &sinks;
+  Scheduler scheduler(tb, gbps(7.0), policy, cfg);
+  const auto report = scheduler.run({{job, 0.0}});
+
+  EXPECT_TRUE(report.accounting_consistent());
+  EXPECT_EQ(report.failed, 1);
+  ASSERT_EQ(report.jobs.size(), 1u);
+  const TenantOutcome& out = report.jobs[0];
+  EXPECT_TRUE(out.failed);
+  EXPECT_FALSE(out.result.completed);
+  // The second leg was cancelled and charged; the first was checkpointed.
+  EXPECT_EQ(out.hedge_legs, 2);
+  EXPECT_GT(out.hedge_energy, 0.0);
+  EXPECT_EQ(out.recovery.count(RecoveryAction::kHedge), 1);
+  EXPECT_EQ(decisions_of(decisions, obs::DecisionKind::kHedgeWin).first, 0);
+  ASSERT_FALSE(out.recovery.events.empty());
+  EXPECT_EQ(out.recovery.events.back().action, RecoveryAction::kGiveUp);
+  EXPECT_EQ(out.recovery.events.back().detail, "still running at the scheduler horizon");
+  EXPECT_GT(out.result.goodput_bytes(), 0);
+  EXPECT_LT(out.result.goodput_bytes(), job.dataset.total_bytes());
+}
+
 TEST(FailoverScheduler, PreemptingARacingScavengerCancelsItsSecondLeg) {
   const auto tb = small_xsede();
   TransferJob green = deadline_job(tb, "scavenger");
