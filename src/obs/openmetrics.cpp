@@ -5,7 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <ostream>
 #include <sstream>
@@ -74,6 +76,32 @@ void write_label_block(std::ostream& os, const Family& family, const MetricSnaps
     os << (first ? "" : ",") << "name=\"" << openmetrics_label_escape(m.name) << '"';
   }
   os << '}';
+}
+
+/// The request a line names: an exact `GET <path> HTTP/1.x` match, another
+/// well-formed line (404), or a malformed one (400).
+enum class Route { kMetrics, kHealthz, kNotFound, kBadRequest };
+
+[[nodiscard]] Route route_of(std::string_view line) noexcept {
+  for (const char c : line) {
+    if (c < 0x20 || c > 0x7e) return Route::kBadRequest;  // binary or control bytes
+  }
+  const auto sp1 = line.find(' ');
+  const auto sp2 = sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos) return Route::kBadRequest;
+  const std::string_view method = line.substr(0, sp1);
+  const std::string_view path = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const std::string_view version = line.substr(sp2 + 1);
+  if (method.empty() || path.empty() || path.front() != '/' ||
+      (version != "HTTP/1.0" && version != "HTTP/1.1")) {
+    return Route::kBadRequest;
+  }
+  for (const char c : method) {
+    if (c < 'A' || c > 'Z') return Route::kBadRequest;
+  }
+  if (method == "GET" && path == "/metrics") return Route::kMetrics;
+  if (method == "GET" && path == "/healthz") return Route::kHealthz;
+  return Route::kNotFound;
 }
 
 }  // namespace
@@ -234,25 +262,60 @@ void MetricsHttpServer::serve() {
 }
 
 void MetricsHttpServer::handle(int client) {
-  char buf[2048];
-  const ssize_t n = ::recv(client, buf, sizeof(buf) - 1, 0);
-  if (n <= 0) return;
-  buf[n] = '\0';
-  const std::string_view request(buf, static_cast<std::size_t>(n));
+  // Read the request line, LF-terminated, within the read deadline and the
+  // size cap. A client that sends nothing is closed unanswered at the
+  // deadline, so it holds the one serve thread for at most that long.
+  char buf[kMaxRequestLine];
+  std::size_t have = 0;
+  const auto deadline = std::chrono::steady_clock::now() + kReadDeadline;
+  Route route = Route::kBadRequest;
+  for (;;) {
+    if (const void* lf = std::memchr(buf, '\n', have)) {
+      auto len = static_cast<std::size_t>(static_cast<const char*>(lf) - buf);
+      if (len > 0 && buf[len - 1] == '\r') --len;
+      route = route_of({buf, len});
+      break;
+    }
+    if (have == sizeof(buf)) break;  // oversized: 400
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0 || stop_.load(std::memory_order_relaxed)) return;
+    pollfd pfd{client, POLLIN, 0};
+    // Short slices, so that stop() is honoured mid-read.
+    if (::poll(&pfd, 1, static_cast<int>(std::min<long long>(left.count(), 50))) <= 0) {
+      continue;
+    }
+    const ssize_t n = ::recv(client, buf + have, sizeof(buf) - have, 0);
+    if (n < 0) return;
+    if (n == 0) {  // the client closed: a partial line is malformed
+      if (have == 0) return;
+      break;
+    }
+    have += static_cast<std::size_t>(n);
+  }
 
   std::string body;
   std::string content_type = "text/plain; charset=utf-8";
   const char* status = "200 OK";
-  if (request.rfind("GET /metrics", 0) == 0) {
-    std::ostringstream os;
-    write_openmetrics(os, snapshot_());
-    body = os.str();
-    content_type = openmetrics_content_type();
-  } else if (request.rfind("GET /healthz", 0) == 0) {
-    body = "ok\n";
-  } else {
-    status = "404 Not Found";
-    body = "not found\n";
+  switch (route) {
+    case Route::kMetrics: {
+      std::ostringstream os;
+      write_openmetrics(os, snapshot_());
+      body = os.str();
+      content_type = openmetrics_content_type();
+      break;
+    }
+    case Route::kHealthz:
+      body = "ok\n";
+      break;
+    case Route::kNotFound:
+      status = "404 Not Found";
+      body = "not found\n";
+      break;
+    case Route::kBadRequest:
+      status = "400 Bad Request";
+      body = "bad request\n";
+      break;
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
 

@@ -15,7 +15,8 @@
 //   * MetricsHttpServer is a deliberately minimal single-threaded HTTP/1.0
 //     listener serving GET /metrics and /healthz. One accept loop, one
 //     request per connection, no keep-alive — a scrape endpoint, not a web
-//     server. The hot path is never blocked by a scrape: engine writers
+//     server. Each connection gets a bounded read of its request line, so
+//     a silent or hostile client cannot wedge it. The hot path is never blocked by a scrape: engine writers
 //     mutate pre-resolved atomic handles lock-free, and the scrape thread
 //     only takes the registry's structural mutex for the snapshot walk.
 //
@@ -26,6 +27,8 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -59,12 +62,20 @@ void write_openmetrics(std::ostream& os, const std::vector<MetricSnapshot>& metr
 [[nodiscard]] const char* openmetrics_content_type() noexcept;
 
 /// Minimal scrape endpoint: one background thread, HTTP/1.0, connection per
-/// request. GET /metrics renders the provider's snapshot; GET /healthz
-/// answers `ok`; anything else is 404. Start() binds immediately so the
-/// caller can log the (possibly ephemeral) port before any scrape lands.
+/// request. The request line must be exactly `GET /metrics HTTP/1.x`
+/// (the provider's snapshot) or `GET /healthz HTTP/1.x` (`ok`); another
+/// well-formed line is 404, and a malformed, binary or oversized one 400. A
+/// client that has not sent its line within kReadDeadline is closed
+/// unanswered. The constructor binds immediately so the caller can log the
+/// (possibly ephemeral) port before any scrape lands.
 class MetricsHttpServer {
  public:
   using SnapshotFn = std::function<std::vector<MetricSnapshot>()>;
+
+  /// How long one connection may take to deliver its request line.
+  static constexpr std::chrono::milliseconds kReadDeadline{1000};
+  /// Longest request line read, its line end included.
+  static constexpr std::size_t kMaxRequestLine = 2048;
 
   /// `port` 0 binds an ephemeral port (see port()). `snapshot` is called on
   /// the scrape thread for every /metrics request and must be safe to call
@@ -81,7 +92,7 @@ class MetricsHttpServer {
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
   [[nodiscard]] bool running() const noexcept { return port_ >= 0; }
 
-  /// Scrapes served so far (/metrics and /healthz both count).
+  /// Requests answered so far, whatever their status.
   [[nodiscard]] std::uint64_t requests() const noexcept {
     return requests_.load(std::memory_order_relaxed);
   }

@@ -7,7 +7,9 @@
 // that collide after sanitization, wrong-kind collisions) must stay distinct
 // and parseable. The listener half exercises the real socket path: bind an
 // ephemeral port, speak HTTP over a raw client socket, and scrape while
-// writer threads hammer the registry (the TSan configuration races this).
+// writer threads hammer the registry (the TSan configuration races this);
+// silent, split, oversized and binary requests must neither wedge it nor get
+// an answer other than 400, 404 or a close.
 #include "obs/openmetrics.hpp"
 
 #include <gtest/gtest.h>
@@ -15,9 +17,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace eadt::obs {
 namespace {
@@ -146,21 +151,34 @@ TEST(OpenMetrics, EmptyRegistryIsJustTheTerminator) {
 
 // --- scrape listener -------------------------------------------------------
 
-/// Minimal HTTP/1.0 client: connect to 127.0.0.1:`port`, send one GET, read
-/// to EOF. Returns the raw response (status line + headers + body).
-std::string http_get(int port, const std::string& path) {
+/// A client socket connected to 127.0.0.1:`port`, or -1. Its reads time
+/// out after 5 s, so a wedged server fails a test instead of hanging it.
+int connect_to(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  (void)::send(fd, request.data(), request.size(), 0);
+  return fd;
+}
+
+/// Send `parts` in order, pausing between them, then read to EOF. Returns
+/// the raw response (status line + headers + body); empty when the server
+/// closed without answering.
+std::string http_raw(int port, const std::vector<std::string>& parts) {
+  const int fd = connect_to(port);
+  if (fd < 0) return {};
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    (void)::send(fd, parts[i].data(), parts[i].size(), MSG_NOSIGNAL);
+  }
   std::string response;
   char buf[4096];
   for (;;) {
@@ -170,6 +188,11 @@ std::string http_get(int port, const std::string& path) {
   }
   ::close(fd);
   return response;
+}
+
+/// Minimal HTTP/1.0 client: one GET of `path`.
+std::string http_get(int port, const std::string& path) {
+  return http_raw(port, {"GET " + path + " HTTP/1.0\r\n\r\n"});
 }
 
 std::string body_of(const std::string& response) {
@@ -248,6 +271,106 @@ TEST(MetricsHttpServer, ScrapeUnderLoadReturnsCoherentExposition) {
   for (auto& t : writers) t.join();
   server.stop();
   EXPECT_GE(server.requests(), 16u);
+}
+
+TEST(MetricsHttpServer, SilentClientDelaysAScrapeByAtMostTheReadDeadline) {
+  using std::chrono::steady_clock;
+  MetricsRegistry registry;
+  registry.counter("scrapes.seen").add(1);
+  MetricsHttpServer server(0, [&registry] { return registry.snapshot(); });
+  ASSERT_TRUE(server.running()) << server.error();
+  const auto bound = MetricsHttpServer::kReadDeadline + std::chrono::seconds(1);
+
+  // A client that connects and sends nothing holds the serve thread until
+  // its deadline, and no longer.
+  const int silent = connect_to(server.port());
+  ASSERT_GE(silent, 0);
+  auto t0 = steady_clock::now();
+  const std::string scraped = http_get(server.port(), "/metrics");
+  EXPECT_LT(steady_clock::now() - t0, bound);
+  EXPECT_NE(scraped.find("HTTP/1.0 200 OK"), std::string::npos);
+
+  // stop() while the serve thread reads a second silent client.
+  const int idle = connect_to(server.port());
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  t0 = steady_clock::now();
+  server.stop();
+  EXPECT_LT(steady_clock::now() - t0, bound);
+  ::close(silent);
+  ::close(idle);
+  EXPECT_EQ(server.requests(), 1u);
+}
+
+TEST(MetricsHttpServer, RequestLinesMatchExactly) {
+  MetricsRegistry registry;
+  MetricsHttpServer server(0, [&registry] { return registry.snapshot(); });
+  ASSERT_TRUE(server.running()) << server.error();
+  const int port = server.port();
+  const auto status_of = [port](const std::vector<std::string>& parts) {
+    const std::string response = http_raw(port, parts);
+    return response.substr(0, response.find("\r\n"));
+  };
+  // A request line split across two sends is read whole.
+  EXPECT_EQ(status_of({"GE", "T /metrics HTTP/1.0\r\n\r\n"}), "HTTP/1.0 200 OK");
+  EXPECT_EQ(status_of({"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"}), "HTTP/1.0 200 OK");
+  EXPECT_EQ(status_of({"GET /metrics HTTP/1.0\n\n"}), "HTTP/1.0 200 OK");
+  // Another path is 404, prefixes and suffixes included.
+  EXPECT_EQ(status_of({"GET /metricsX HTTP/1.0\r\n\r\n"}), "HTTP/1.0 404 Not Found");
+  EXPECT_EQ(status_of({"GET /healthz/ HTTP/1.0\r\n\r\n"}), "HTTP/1.0 404 Not Found");
+  EXPECT_EQ(status_of({"POST /metrics HTTP/1.0\r\n\r\n"}), "HTTP/1.0 404 Not Found");
+  // A malformed line is 400.
+  for (const char* bad : {"GET /metrics\r\n\r\n", "GET /metrics HTTP/2.0\r\n\r\n",
+                          "get /metrics HTTP/1.0\r\n\r\n", "GET  /metrics HTTP/1.0\r\n",
+                          "GET metrics HTTP/1.0\r\n", "GET /metrics HTTP/1.0 \r\n",
+                          "\r\n", "GET /met\trics HTTP/1.0\r\n"}) {
+    EXPECT_EQ(status_of({bad}), "HTTP/1.0 400 Bad Request") << bad;
+  }
+  // A line the client ends by closing is malformed too.
+  const int fd = connect_to(port);
+  ASSERT_GE(fd, 0);
+  (void)::send(fd, "GET /metrics HTTP/1.0", 21, MSG_NOSIGNAL);
+  ::shutdown(fd, SHUT_WR);
+  char buf[64] = {};
+  EXPECT_GT(::recv(fd, buf, sizeof(buf) - 1, 0), 0);
+  EXPECT_EQ(std::string(buf).rfind("HTTP/1.0 400 Bad Request", 0), 0u) << buf;
+  ::close(fd);
+}
+
+TEST(MetricsHttpServer, OversizedAndBinaryRequestsGet400OrACloseAndServingGoesOn) {
+  MetricsRegistry registry;
+  registry.counter("scrapes.seen").add(1);
+  MetricsHttpServer server(0, [&registry] { return registry.snapshot(); });
+  ASSERT_TRUE(server.running()) << server.error();
+  const int port = server.port();
+  const auto refused = [](const std::string& response) {
+    return response.empty() || response.rfind("HTTP/1.0 400 Bad Request\r\n", 0) == 0;
+  };
+  const std::string oversized(4 * MetricsHttpServer::kMaxRequestLine, 'A');
+  EXPECT_TRUE(refused(http_raw(port, {oversized})));
+  EXPECT_TRUE(refused(http_raw(port, {"GET /" + oversized + " HTTP/1.0\r\n\r\n"})));
+
+  Rng rng(0x5C4A9E);
+  for (int i = 0; i < 64; ++i) {
+    std::string request(rng.uniform_int(1, 600), '\0');
+    for (char& c : request) c = static_cast<char>(rng.uniform_int(0, 255));
+    // Half of them end their junk with a line end, half with a close.
+    if (i % 2 == 0) request += "\r\n";
+    const int fd = connect_to(port);
+    ASSERT_GE(fd, 0);
+    (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+    ::shutdown(fd, SHUT_WR);
+    std::string response;
+    char buf[512];
+    for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+      response.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_TRUE(refused(response)) << "request " << i << ": " << response;
+  }
+  const std::string after = http_get(port, "/metrics");
+  EXPECT_NE(after.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_NE(body_of(after).find("scrapes_seen_total"), std::string::npos);
 }
 
 }  // namespace
