@@ -101,13 +101,6 @@ RoundFactors round_factors(const CongestionSpec& congestion, BitsPerSecond capac
   return f;
 }
 
-FairShareResult fair_share(BitsPerSecond capacity, std::span<const Demand> demands) {
-  FairShareResult out;
-  FairShareScratch scratch;
-  out.total = fair_share_reference_into(capacity, demands, out.allocation, scratch);
-  return out;
-}
-
 void LinkArbiter::begin_round(BitsPerSecond capacity) {
   capacity_ = capacity;
   total_ = 0.0;

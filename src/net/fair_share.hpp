@@ -19,11 +19,6 @@ namespace eadt::net {
 // Demand and DemandGroup live in waterfill.hpp (the solver is the base
 // layer); this header re-exports them to the existing call sites.
 
-struct FairShareResult {
-  std::vector<BitsPerSecond> allocation;  ///< per-demand rate, same order
-  BitsPerSecond total = 0.0;              ///< sum of allocations
-};
-
 /// Reusable workspace for fair_share_reference_into and unit_fill_clamp. The
 /// allocator runs every tick for every disk pool and the shared link;
 /// holding the progressive-filling active set here — capacity preserved
@@ -37,6 +32,8 @@ struct FairShareScratch {
 /// in the repo was recorded against, kept verbatim. Weighted max-min fair
 /// allocation of `capacity` across `demands`, written into `allocation`
 /// (resized to demands.size(); previous contents ignored); returns the total.
+/// Each allocation stays under its cap, the total is min(capacity, sum of
+/// caps), and uncapped flows share in proportion to their weights.
 /// Allocation-free once `allocation` and `scratch` have warmed to capacity.
 /// Every product round runs it, whatever its size: on the fleet's
 /// ~1,300-flow arbiter rounds it costs a fraction of the waterfill solver's
@@ -81,15 +78,6 @@ struct RoundFactors {
 /// No library code dispatches on it; it goes when that replay drops its
 /// solver rows.
 inline constexpr std::size_t kWaterfillThreshold = 512;
-
-/// Weighted max-min fair allocation of `capacity` across `demands`.
-/// Properties (asserted by tests):
-///   * allocation[i] <= demands[i].cap
-///   * total <= capacity (+ epsilon)
-///   * work-conserving: total == min(capacity, sum of caps)
-///   * unconstrained channels receive rate proportional to weight
-[[nodiscard]] FairShareResult fair_share(BitsPerSecond capacity,
-                                         std::span<const Demand> demands);
 
 /// Joint arbitration of one shared link across several demand sets (the
 /// multi-tenant round of exp::Scheduler): each tenant session submits its

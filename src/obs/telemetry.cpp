@@ -62,28 +62,8 @@ TelemetryHub::TelemetryHub(double stride_s, std::size_t capacity, std::size_t si
 void TelemetryHub::record(double now) {
   if (!enabled()) return;
   scratch_.t = now;
-  TelemetrySample& slot = ring_[head_];
-  // Member-wise assign: the vectors are identically sized, so operator= on
-  // them copies in place without reallocating.
-  slot.t = scratch_.t;
-  slot.running = scratch_.running;
-  slot.queued = scratch_.queued;
-  slot.deferred = scratch_.deferred;
-  slot.channels = scratch_.channels;
-  slot.shed = scratch_.shed;
-  slot.preempted = scratch_.preempted;
-  slot.migrated = scratch_.migrated;
-  slot.completed = scratch_.completed;
-  slot.failed = scratch_.failed;
-  slot.power_w = scratch_.power_w;
-  slot.cap_w = scratch_.cap_w;
-  slot.class_running = scratch_.class_running;
-  slot.class_burn = scratch_.class_burn;
-  std::copy(scratch_.site_power_w.begin(), scratch_.site_power_w.end(),
-            slot.site_power_w.begin());
-  std::copy(scratch_.site_cap_w.begin(), scratch_.site_cap_w.end(),
-            slot.site_cap_w.begin());
-  std::copy(scratch_.site_phi.begin(), scratch_.site_phi.end(), slot.site_phi.begin());
+  // The per-site vectors are sized alike, so assigning them copies in place.
+  ring_[head_] = scratch_;
   head_ = (head_ + 1) % ring_.size();
   ++seen_;
   // Advance the stride clock past `now` so a stalled simulation does not

@@ -43,17 +43,4 @@ struct PowerCoefficients {
 [[nodiscard]] Watts fine_grained_power(const PowerCoefficients& c, int active_cores,
                                        const host::Utilization& u);
 
-/// Trapezoid-free energy integrator (power is piecewise constant per tick).
-class EnergyAccumulator {
- public:
-  void add(Watts power, Seconds dt) noexcept {
-    if (power > 0.0 && dt > 0.0) joules_ += power * dt;
-  }
-  [[nodiscard]] Joules total() const noexcept { return joules_; }
-  void reset() noexcept { joules_ = 0.0; }
-
- private:
-  Joules joules_ = 0.0;
-};
-
 }  // namespace eadt::power

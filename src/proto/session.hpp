@@ -130,7 +130,7 @@ class TransferSession {
   // --- shared-simulation phase API (multi-tenant; MODEL.md §13) ----------
   // exp::Scheduler drives several sessions on one Simulation by calling
   // these phases each master tick; link arbitration is lifted out of the
-  // session so all tenants contend in one net::fair_share round. run() is
+  // session so all tenants contend in one net::LinkArbiter round. run() is
   // exactly begin + {tick_prepare, allocate_rates, advance_compute,
   // advance_commit} per tick + finalize, so the single-session path shares
   // every line of this code.

@@ -8,12 +8,26 @@
 #include <initializer_list>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace eadt::net {
 namespace {
+
+struct Round {
+  std::vector<BitsPerSecond> allocation;  ///< per-demand rate, same order
+  BitsPerSecond total = 0.0;
+};
+
+/// One reference round with a fresh scratch.
+Round fair_share(BitsPerSecond capacity, std::span<const Demand> demands) {
+  Round r;
+  FairShareScratch scratch;
+  r.total = fair_share_reference_into(capacity, demands, r.allocation, scratch);
+  return r;
+}
 
 TEST(FairShare, EqualWeightsSplitEvenly) {
   std::vector<Demand> d(4, Demand{gbps(10.0), 1.0});
@@ -153,7 +167,7 @@ TEST(FairShare, AllZeroCapsAllocateNothing) {
 
 // The scratch-reusing entry point is the allocating one's hot twin: whatever
 // state the scratch and output vectors carry over from previous (differently
-// sized) calls, the result must be bit-for-bit what fair_share computes. The
+// sized) calls, the result must be bit-for-bit what a fresh scratch computes. The
 // last three rounds run the sizes around kWaterfillThreshold, larger than any
 // the scratch has held so far, with capacity scaled to keep a small round's
 // per-flow share (so the fill still caps flows over several rounds).

@@ -258,14 +258,16 @@ TEST(SharedSimulation, DestroyedSessionLeavesNoPlanEventBehind) {
     TransferSession session(sim, env, ds, one_chunk_plan(ds, 2), cfg);
     session.set_fault_plan(faults);
     ASSERT_FALSE(session.begin().has_value());
+    std::vector<BitsPerSecond> alloc;
+    net::FairShareScratch scratch;
     for (int k = 1; k <= 5; ++k) {
       sim.run_until(k * cfg.tick);
       session.tick_prepare();
       session.collect_link_demands();
-      const auto alloc = net::fair_share(env.path.available_bandwidth() *
-                                             session.path_factor(),
-                                         session.link_demands());
-      session.apply_link_allocation(alloc.allocation, 1.0, 1.0);
+      net::fair_share_reference_into(
+          env.path.available_bandwidth() * session.path_factor(), session.link_demands(),
+          alloc, scratch);
+      session.apply_link_allocation(alloc, 1.0, 1.0);
       session.advance_compute();
       ASSERT_TRUE(session.advance_commit());
     }

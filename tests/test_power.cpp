@@ -48,17 +48,5 @@ TEST(FineGrained, MonotoneInEachComponent) {
   }
 }
 
-TEST(EnergyAccumulator, IntegratesPiecewiseConstantPower) {
-  EnergyAccumulator acc;
-  acc.add(100.0, 2.0);
-  acc.add(50.0, 4.0);
-  EXPECT_DOUBLE_EQ(acc.total(), 400.0);
-  acc.add(-5.0, 1.0);  // ignored: no negative power
-  acc.add(5.0, -1.0);  // ignored: no negative time
-  EXPECT_DOUBLE_EQ(acc.total(), 400.0);
-  acc.reset();
-  EXPECT_DOUBLE_EQ(acc.total(), 0.0);
-}
-
 }  // namespace
 }  // namespace eadt::power
