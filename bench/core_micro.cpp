@@ -3,8 +3,9 @@
 //
 // Five series (BENCH_core.json, schema eadt-bench-v1, `micro` section):
 //   * event_queue_sched_fire_cancel — randomized schedule/fire/cancel churn
-//     on sim::Simulation vs the reference std::map queue (same op sequence;
-//     the speedup figure is the PR-over-PR perf gate);
+//     on sim::Simulation vs the reference std::map queue, bench::RefSim
+//     (ref_sim.hpp; same op sequence; the speedup figure is the PR-over-PR
+//     perf gate);
 //   * ticker_churn — re-arm fast path: many concurrent tickers firing;
 //   * fair_share_rounds — net::fair_share_reference_into with a warmed scratch;
 //   * fair_share_waterfill_dist — net::WaterfillSolver dist mode at 10^6
@@ -17,9 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iostream>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "net/fair_share.hpp"
 #include "obs/obs.hpp"
 #include "proto/session.hpp"
+#include "ref_sim.hpp"
 #include "sim/simulation.hpp"
 #include "testbeds/testbeds.hpp"
 #include "util/rng.hpp"
@@ -43,106 +43,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// The event engine this PR replaced, verbatim: a std::map over (time, seq)
-/// with eager cancellation, and tickers implemented as a shared_ptr registry
-/// whose re-arm closure is re-scheduled — i.e. a fresh std::function (heap
-/// clone: the closure outgrows the SBO buffer) plus a map node per
-/// occurrence. Kept here as the baseline the heap engine is raced against
-/// (the differential test in tests/test_simulation.cpp uses the same
-/// reference to check behaviour, op for op).
-class MapQueue {
- public:
-  struct Id {
-    double time = 0.0;
-    std::uint64_t seq = 0;
-  };
-
-  [[nodiscard]] double now() const { return now_; }
-
-  Id schedule_at(double t, std::function<void()> fn) {
-    const double when = std::max(t, now_);
-    const Id id{when, next_seq_++};
-    queue_.emplace(std::make_pair(when, id.seq), std::move(fn));
-    return id;
-  }
-
-  Id add_ticker(double interval, std::function<bool()> fn) {
-    const std::uint64_t key = next_seq_;  // seq the first occurrence will get
-    auto state = std::make_shared<TickerState>();
-    state->fn = std::move(fn);
-    state->rearm = [this, interval, key]() {
-      const auto it = tickers_.find(key);
-      if (it == tickers_.end()) return;  // cancelled while this firing was queued
-      const auto st = it->second;
-      if (!st->fn()) {
-        tickers_.erase(key);
-        return;
-      }
-      if (tickers_.count(key) != 0) {  // fn may have cancelled its own ticker
-        st->current = schedule_at(now_ + std::max(interval, 0.0), st->rearm);
-      }
-    };
-    tickers_.emplace(key, state);
-    state->current = schedule_at(now_ + std::max(interval, 0.0), state->rearm);
-    return state->current;
-  }
-
-  bool cancel(Id id) {
-    if (auto it = tickers_.find(id.seq); it != tickers_.end()) {
-      const Id current = it->second->current;
-      tickers_.erase(it);
-      queue_.erase({current.time, current.seq});
-      return true;
-    }
-    return queue_.erase({id.time, id.seq}) > 0;
-  }
-
-  std::uint64_t run_until(double deadline) {
-    std::uint64_t fired = 0;
-    while (!queue_.empty() && queue_.begin()->first.first <= deadline) {
-      const auto it = queue_.begin();
-      now_ = it->first.first;
-      auto fn = std::move(it->second);
-      queue_.erase(it);
-      fn();
-      ++fired;
-    }
-    return fired;
-  }
-
- private:
-  struct TickerState {
-    Id current;
-    std::function<bool()> fn;
-    std::function<void()> rearm;
-  };
-
-  double now_ = 0.0;
-  std::uint64_t next_seq_ = 1;
-  std::map<std::pair<double, std::uint64_t>, std::function<void()>> queue_;
-  std::map<std::uint64_t, std::shared_ptr<TickerState>> tickers_;
-};
-
-/// sim::Simulation behind the MapQueue interface, so both run the exact same
-/// churn loop. Both consume one seq per occurrence, so tie-breaks — and
-/// therefore the fired-event sequence — are identical.
-class HeapQueue {
- public:
-  using Id = sim::EventId;
-  [[nodiscard]] double now() const { return sim_.now(); }
-  Id schedule_at(double t, std::function<void()> fn) {
-    return sim_.schedule_at(t, std::move(fn));
-  }
-  Id add_ticker(double interval, std::function<bool()> fn) {
-    return sim_.add_ticker(interval, std::move(fn));
-  }
-  bool cancel(Id id) { return sim_.cancel(id); }
-  std::uint64_t run_until(double deadline) { return sim_.run_until(deadline); }
-
- private:
-  sim::Simulation sim_;
-};
-
 /// One deterministic session-shaped churn round-trip, mirroring what the
 /// golden counters say real runs look like (ticks dominate fired events and
 /// the queue stays shallow): every round starts a finite ticker, schedules a
@@ -153,7 +53,7 @@ class HeapQueue {
 template <typename Queue>
 std::uint64_t queue_churn(Queue& q, int rounds) {
   Rng rng(0xC0DEC0DEULL);
-  std::vector<typename Queue::Id> ids;
+  std::vector<sim::EventId> ids;
   ids.reserve(64);
   std::uint64_t ops = 0;
   int spin = 0;
@@ -193,17 +93,17 @@ exp::MicroSample bench_event_queue(int rounds) {
   // Untimed warm-up pass so both sides measure steady-state allocator and
   // cache behaviour, not first-touch page faults.
   {
-    HeapQueue w1;
+    sim::Simulation w1;
     queue_churn(w1, rounds / 8 + 1);
-    MapQueue w2;
+    bench::RefSim w2;
     queue_churn(w2, rounds / 8 + 1);
   }
-  HeapQueue heap;
+  sim::Simulation heap;
   auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t ops = queue_churn(heap, rounds);
   const double heap_ms = ms_since(t0);
 
-  MapQueue map;
+  bench::RefSim map;
   t0 = std::chrono::steady_clock::now();
   const std::uint64_t map_ops = queue_churn(map, rounds);
   const double map_ms = ms_since(t0);

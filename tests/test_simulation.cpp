@@ -5,12 +5,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "ref_sim.hpp"
 #include "util/rng.hpp"
 
 namespace eadt::sim {
@@ -189,105 +187,10 @@ TEST(Simulation, TickerCancelAfterSelfStopReturnsFalse) {
 }
 
 // --- differential stress: heap engine vs the std::map reference ------------
-
-/// The engine this PR replaced, verbatim (std::map queue, eager cancel,
-/// self-re-scheduling ticker closures in a shared_ptr registry), including
-/// its counter discipline. The heap engine must be observationally
-/// indistinguishable from this under arbitrary op sequences — that is what
-/// keeps every golden BENCH payload byte-identical.
-class RefSim {
- public:
-  [[nodiscard]] Seconds now() const noexcept { return now_; }
-
-  EventId schedule_at(Seconds t, std::function<void()> fn) {
-    const Seconds when = std::max(t, now_);
-    const EventId id{when, next_seq_++};
-    queue_.emplace(Key{id.time, id.seq}, std::move(fn));
-    ++counters_.scheduled;
-    counters_.peak_queue = std::max<std::uint64_t>(counters_.peak_queue, queue_.size());
-    return id;
-  }
-
-  EventId schedule_after(Seconds dt, std::function<void()> fn) {
-    return schedule_at(now_ + std::max(dt, 0.0), std::move(fn));
-  }
-
-  bool cancel(EventId id) {
-    if (!id.valid()) return false;
-    if (auto it = tickers_.find(id.seq); it != tickers_.end()) {
-      const EventId current = it->second->current;
-      tickers_.erase(it);
-      counters_.cancelled += queue_.erase(Key{current.time, current.seq});
-      return true;
-    }
-    const bool erased = queue_.erase(Key{id.time, id.seq}) > 0;
-    counters_.cancelled += erased ? 1 : 0;
-    return erased;
-  }
-
-  EventId add_ticker(Seconds interval, std::function<bool()> fn) {
-    const std::uint64_t key = next_seq_;  // seq the first occurrence will get
-    auto state = std::make_shared<TickerState>();
-    state->fn = std::move(fn);
-    state->rearm = [this, interval, key]() {
-      const auto it = tickers_.find(key);
-      if (it == tickers_.end()) return;
-      ++counters_.ticks;
-      const auto st = it->second;
-      if (!st->fn()) {
-        tickers_.erase(key);
-        return;
-      }
-      if (tickers_.count(key) != 0) {
-        st->current = schedule_after(interval, st->rearm);
-      }
-    };
-    tickers_.emplace(key, state);
-    state->current = schedule_after(interval, state->rearm);
-    return state->current;
-  }
-
-  bool step() {
-    if (queue_.empty()) return false;
-    auto it = queue_.begin();
-    now_ = it->first.first;
-    auto fn = std::move(it->second);
-    queue_.erase(it);
-    ++counters_.fired;
-    fn();
-    return true;
-  }
-
-  std::uint64_t run_until(Seconds deadline = std::numeric_limits<double>::infinity()) {
-    std::uint64_t fired = 0;
-    while (!queue_.empty() && queue_.begin()->first.first <= deadline) {
-      step();
-      ++fired;
-    }
-    if (queue_.empty() && now_ < deadline &&
-        deadline < std::numeric_limits<double>::infinity()) {
-      now_ = deadline;
-    }
-    return fired;
-  }
-
-  [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
-  [[nodiscard]] const SimCounters& counters() const noexcept { return counters_; }
-
- private:
-  using Key = std::pair<Seconds, std::uint64_t>;
-  struct TickerState {
-    EventId current;
-    std::function<bool()> fn;
-    std::function<void()> rearm;
-  };
-
-  Seconds now_ = 0.0;
-  std::uint64_t next_seq_ = 1;
-  SimCounters counters_;
-  std::map<Key, std::function<void()>> queue_;
-  std::map<std::uint64_t, std::shared_ptr<TickerState>> tickers_;
-};
+//
+// bench::RefSim is the engine the heap replaced (bench/ref_sim.hpp). The heap
+// engine must be observationally indistinguishable from it under arbitrary
+// op sequences — that is what keeps every golden BENCH payload byte-identical.
 
 /// One observable moment: which payload ran (or what an operation returned)
 /// and the simulated clock when it happened.
@@ -364,7 +267,7 @@ std::vector<TraceEvent> replay_script(Engine& eng, std::uint64_t seed, int ops,
 void expect_engines_agree(std::uint64_t seed, int ops, bool reentrant) {
   Simulation heap_eng;
   const auto heap_trace = replay_script(heap_eng, seed, ops, reentrant);
-  RefSim map_eng;
+  bench::RefSim map_eng;
   const auto map_trace = replay_script(map_eng, seed, ops, reentrant);
 
   ASSERT_EQ(heap_trace.size(), map_trace.size());
