@@ -79,7 +79,9 @@ void write_label_block(std::ostream& os, const Family& family, const MetricSnaps
 }
 
 /// The request a line names: an exact `GET <path> HTTP/1.x` match, another
-/// well-formed line (404), or a malformed one (400).
+/// well-formed line (404), or a malformed one (400). Well-formed is
+/// printable ASCII in three non-empty fields split by single spaces, the
+/// last HTTP/1.0 or HTTP/1.1.
 enum class Route { kMetrics, kHealthz, kNotFound, kBadRequest };
 
 [[nodiscard]] Route route_of(std::string_view line) noexcept {
@@ -88,19 +90,12 @@ enum class Route { kMetrics, kHealthz, kNotFound, kBadRequest };
   }
   const auto sp1 = line.find(' ');
   const auto sp2 = sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
-  if (sp2 == std::string_view::npos) return Route::kBadRequest;
-  const std::string_view method = line.substr(0, sp1);
-  const std::string_view path = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  if (sp1 == 0 || sp2 == std::string_view::npos || sp2 == sp1 + 1) return Route::kBadRequest;
   const std::string_view version = line.substr(sp2 + 1);
-  if (method.empty() || path.empty() || path.front() != '/' ||
-      (version != "HTTP/1.0" && version != "HTTP/1.1")) {
-    return Route::kBadRequest;
-  }
-  for (const char c : method) {
-    if (c < 'A' || c > 'Z') return Route::kBadRequest;
-  }
-  if (method == "GET" && path == "/metrics") return Route::kMetrics;
-  if (method == "GET" && path == "/healthz") return Route::kHealthz;
+  if (version != "HTTP/1.0" && version != "HTTP/1.1") return Route::kBadRequest;
+  const std::string_view request = line.substr(0, sp2);
+  if (request == "GET /metrics") return Route::kMetrics;
+  if (request == "GET /healthz") return Route::kHealthz;
   return Route::kNotFound;
 }
 

@@ -319,11 +319,12 @@ TEST(MetricsHttpServer, RequestLinesMatchExactly) {
   EXPECT_EQ(status_of({"GET /metricsX HTTP/1.0\r\n\r\n"}), "HTTP/1.0 404 Not Found");
   EXPECT_EQ(status_of({"GET /healthz/ HTTP/1.0\r\n\r\n"}), "HTTP/1.0 404 Not Found");
   EXPECT_EQ(status_of({"POST /metrics HTTP/1.0\r\n\r\n"}), "HTTP/1.0 404 Not Found");
+  EXPECT_EQ(status_of({"get /metrics HTTP/1.0\r\n\r\n"}), "HTTP/1.0 404 Not Found");
   // A malformed line is 400.
   for (const char* bad : {"GET /metrics\r\n\r\n", "GET /metrics HTTP/2.0\r\n\r\n",
-                          "get /metrics HTTP/1.0\r\n\r\n", "GET  /metrics HTTP/1.0\r\n",
-                          "GET metrics HTTP/1.0\r\n", "GET /metrics HTTP/1.0 \r\n",
-                          "\r\n", "GET /met\trics HTTP/1.0\r\n"}) {
+                          "GET  /metrics HTTP/1.0\r\n", " GET /metrics HTTP/1.0\r\n",
+                          "GET /metrics HTTP/1.0 \r\n", "\r\n",
+                          "GET /met\trics HTTP/1.0\r\n"}) {
     EXPECT_EQ(status_of({bad}), "HTTP/1.0 400 Bad Request") << bad;
   }
   // A line the client ends by closing is malformed too.
