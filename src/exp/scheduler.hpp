@@ -7,7 +7,7 @@
 //
 //   * several proto::TransferSessions co-exist on ONE sim::Simulation; every
 //     master tick the scheduler collects each session's link demands and runs
-//     one joint net::fair_share round (net::LinkArbiter) per path over the
+//     one joint fair-share round (net::LinkArbiter) per path over the
 //     tenants placed there, so channels of different tenants contend exactly
 //     like channels of one session;
 //   * one path table drives every schedule: an entry per
@@ -115,8 +115,6 @@ struct SchedulerPolicy {
   /// Hard stop for the whole schedule; jobs still running are failed.
   Seconds horizon = 7.0 * 24 * 3600;
 
-  // --- Path resilience (appended so positional initializers of the fields
-  // above keep compiling).
   /// Alternate site routes (index 0 = primary). Each tenant is placed at
   /// dispatch on the healthiest path with power headroom, each path runs its
   /// own joint fair-share round per master tick, and a tenant whose journal
@@ -131,8 +129,6 @@ struct SchedulerPolicy {
   /// also set it additionally bounds the *sum* across all paths.
   std::vector<Watts> path_power_caps;
 
-  // --- Tick parallelism (appended for the same positional-initializer
-  // reason as the path fields above).
   /// Workers for the per-tenant phases of the master tick (exp::TickPool).
   /// <= 1 keeps the tick single-threaded. The report, traces and metrics are
   /// byte-identical at any value — the per-session phases run sharded, and

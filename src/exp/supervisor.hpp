@@ -111,8 +111,6 @@ struct SupervisorPolicy {
   /// cap is one the last step falls back to kGreen.
   int degrade_after = 1;
 
-  // --- Path resilience (appended so positional aggregate initializers of the
-  // pre-resilience fields keep compiling).
   /// Alternate routes for this testbed's endpoint pair (index 0 = primary).
   /// TransferService copies this into its schedule's SchedulerPolicy. Set on
   /// SchedulerPolicy::supervision it does nothing: a Scheduler reads only
