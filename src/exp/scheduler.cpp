@@ -929,7 +929,8 @@ bool Scheduler::master_tick() {
       // Scored against the path's *nominal* bandwidth, not the browned-out
       // arbitration capacity: a brownout must read as lost goodput, otherwise
       // a path delivering 10% of itself would look perfectly healthy.
-      const double expected = site.env.path.available_bandwidth() * base_config_.tick / 8.0;
+      const double expected =
+          site.env.path.available_bandwidth() * base_config_.tick / 8.0;
       const double frac = expected > 0.0 ? site.bytes / expected : 1.0;
       health_->observe_goodput(p, sim_.now(), std::min(1.0, frac));
     }
@@ -1107,8 +1108,8 @@ SchedulerReport Scheduler::run(std::vector<SchedulerJob> jobs) {
       sched_shed_track_ = sched_sinks_->trace->intern("sched.shed");
       if (multipath()) {
         for (int p = 0; p < n; ++p) {
-          sites_[p].phi_track =
-              sched_sinks_->trace->intern("path." + policy_.paths.option(p).name + ".phi");
+          sites_[p].phi_track = sched_sinks_->trace->intern(
+              "path." + policy_.paths.option(p).name + ".phi");
         }
       }
     }

@@ -378,11 +378,12 @@ class Scheduler {
   /// One path-table entry: an entry per PathSet option, or one for the
   /// testbed's own environment when there are no alternates.
   struct Site {
-    proto::Environment env;      ///< stable once run() built the table: sessions hold refs
-    Watts cap = 0.0;             ///< per-site cap (0 = uncapped)
-    Watts session_peak = 0.0;    ///< one session's provable peak here
-    Watts running_peak = 0.0;    ///< sum over the legs running here
-    double link_factor = 1.0;    ///< site brownout factor
+    /// Stable once run() has built the table: sessions hold references.
+    proto::Environment env;
+    Watts cap = 0.0;           ///< per-site cap (0 = uncapped)
+    Watts session_peak = 0.0;  ///< one session's provable peak here
+    Watts running_peak = 0.0;  ///< sum over the legs running here
+    double link_factor = 1.0;  ///< site brownout factor
     /// This tick: the offered capacity (-1: no leg placed here), and the
     /// measured power and goodput bytes (the health feed), summed in
     /// admission order.
@@ -393,8 +394,10 @@ class Scheduler {
     /// its next round, so the apply phase reads them in place.
     net::LinkArbiter arbiter;
     net::RoundFactors factors;
-    const char* phi_track = nullptr;  ///< interned health track (alternates only)
-    obs::Gauge* phi_gauge = nullptr;  ///< resolved by publish_tick_gauges (alternates only)
+    /// The health track and gauge, alternates only; the gauge is resolved
+    /// by publish_tick_gauges.
+    const char* phi_track = nullptr;
+    obs::Gauge* phi_gauge = nullptr;
   };
   std::vector<Site> sites_;
   std::unique_ptr<HealthMonitor> health_;

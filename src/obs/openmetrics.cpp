@@ -90,7 +90,9 @@ enum class Route { kMetrics, kHealthz, kNotFound, kBadRequest };
   }
   const auto sp1 = line.find(' ');
   const auto sp2 = sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
-  if (sp1 == 0 || sp2 == std::string_view::npos || sp2 == sp1 + 1) return Route::kBadRequest;
+  if (sp1 == 0 || sp2 == std::string_view::npos || sp2 == sp1 + 1) {
+    return Route::kBadRequest;
+  }
   const std::string_view version = line.substr(sp2 + 1);
   if (version != "HTTP/1.0" && version != "HTTP/1.1") return Route::kBadRequest;
   const std::string_view request = line.substr(0, sp2);

@@ -16,9 +16,10 @@
 //     listener serving GET /metrics and /healthz. One accept loop, one
 //     request per connection, no keep-alive — a scrape endpoint, not a web
 //     server. Each connection gets a bounded read of its request line, so
-//     a silent or hostile client cannot wedge it. The hot path is never blocked by a scrape: engine writers
-//     mutate pre-resolved atomic handles lock-free, and the scrape thread
-//     only takes the registry's structural mutex for the snapshot walk.
+//     a silent or hostile client cannot wedge it. The hot path is never
+//     blocked by a scrape: engine writers mutate pre-resolved atomic handles
+//     lock-free, and the scrape thread only takes the registry's structural
+//     mutex for the snapshot walk.
 //
 // Rendering is deterministic: the snapshot is name-sorted per family and
 // numbers use the obs exporters' shortest-round-trip convention
